@@ -43,7 +43,7 @@ func TestObserveEWMAHandComputed(t *testing.T) {
 		t.Fatalf("Index(first server) = %d, want 0", got)
 	}
 
-	srv.SubmitOpErr(trace.OpWrite, 8*units.MB, func(end float64, err error) {})
+	srv.Submit(server.Sub{Op: trace.OpWrite, Bytes: 8 * units.MB, Done: ignoreDone{}})
 	b := srv.Backlog()
 	if b <= 0 {
 		t.Fatalf("backlog after submission = %v, want > 0", b)
@@ -156,3 +156,8 @@ func TestPolicyValidate(t *testing.T) {
 		t.Errorf("speculation disabled: Validate rejected %+v: %v", p, err)
 	}
 }
+
+// ignoreDone is a server.Done that discards the completion.
+type ignoreDone struct{}
+
+func (ignoreDone) IODone(float64, error) {}

@@ -72,7 +72,7 @@ func TestRerouteCrossesThreshold(t *testing.T) {
 	}
 	srv := firstServer(t, mw, c, "f")
 	var preloadEnd float64
-	srv.SubmitOpErr(trace.OpWrite, 8*units.MB, func(end float64, err error) { preloadEnd = end })
+	preload(srv, func(end float64) { preloadEnd = end })
 
 	var end float64
 	if err := h.WriteAt(make([]byte, 4096), 0, func(e float64) { end = e }); err != nil {
@@ -106,7 +106,7 @@ func TestRerouteStaysUnderThreshold(t *testing.T) {
 	}
 	srv := firstServer(t, mw, c, "f")
 	for _, s := range c.Servers() {
-		s.SubmitOpErr(trace.OpWrite, 8*units.MB, func(end float64, err error) {})
+		preload(s, nil)
 	}
 
 	if err := h.WriteAt(make([]byte, 4096), 0, nil); err != nil {
@@ -134,7 +134,7 @@ func TestReadsPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := firstServer(t, mw, c, "f")
-	srv.SubmitOpErr(trace.OpWrite, 8*units.MB, func(end float64, err error) {})
+	preload(srv, nil)
 
 	if err := h.ReadAt(make([]byte, 4096), 0, nil); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestSpeculationDuplicateWins(t *testing.T) {
 	}
 	srv := firstServer(t, mw, c, "f")
 	var preloadEnd float64
-	srv.SubmitOpErr(trace.OpWrite, 8*units.MB, func(end float64, err error) { preloadEnd = end })
+	preload(srv, func(end float64) { preloadEnd = end })
 	if b := srv.Backlog(); b <= pol.SpecWait {
 		t.Fatalf("posed backlog %v does not clear the speculation deadline %v", b, pol.SpecWait)
 	}
@@ -201,4 +201,19 @@ func TestSpeculationDuplicateWins(t *testing.T) {
 		t.Errorf("raced write finished at %v, want before the straggler queue drains at %v",
 			end, preloadEnd)
 	}
+}
+
+// preloadDone adapts a completion func to server.Done; a nil func ignores
+// the completion.
+type preloadDone func(end float64)
+
+func (f preloadDone) IODone(end float64, _ error) {
+	if f != nil {
+		f(end)
+	}
+}
+
+// preload queues an 8 MB dataless write on srv ahead of the test traffic.
+func preload(srv *server.Server, done func(end float64)) {
+	srv.Submit(server.Sub{Op: trace.OpWrite, Bytes: 8 * units.MB, Done: preloadDone(done)})
 }

@@ -16,7 +16,7 @@ import (
 type AblationRow struct {
 	Variant   string
 	Bandwidth float64 // MB/s on the reference workload
-	PlanTime  float64 // wall-clock seconds spent planning (offline)
+	CellTime  float64 // wall-clock seconds of the whole RunScheme cell: plan + apply + replay
 	Regions   int
 }
 
@@ -48,7 +48,7 @@ func (c Config) StepAblation() ([]AblationRow, *metrics.Table, error) {
 		rows = append(rows, AblationRow{
 			Variant:   fmt.Sprintf("step=%s", units.Bytes(step)),
 			Bandwidth: run.Result.Bandwidth(),
-			PlanTime:  time.Since(start).Seconds(),
+			CellTime:  time.Since(start).Seconds(),
 			Regions:   len(run.Plan.Regions),
 		})
 	}
@@ -81,7 +81,7 @@ func (c Config) GroupBoundAblation() ([]AblationRow, *metrics.Table, error) {
 		rows = append(rows, AblationRow{
 			Variant:   fmt.Sprintf("maxK=%d", maxK),
 			Bandwidth: run.Result.Bandwidth(),
-			PlanTime:  time.Since(start).Seconds(),
+			CellTime:  time.Since(start).Seconds(),
 			Regions:   len(run.Plan.Regions),
 		})
 	}
@@ -140,9 +140,9 @@ func (c Config) ConcurrencyAblation() ([]AblationRow, *metrics.Table, error) {
 }
 
 func ablationTable(title string, rows []AblationRow) *metrics.Table {
-	tb := metrics.NewTable(title, "variant", "MB/s", "regions", "plan time (s)")
+	tb := metrics.NewTable(title, "variant", "MB/s", "regions", "cell time (s)")
 	for _, r := range rows {
-		tb.AddRow(r.Variant, r.Bandwidth, r.Regions, fmt.Sprintf("%.3f", r.PlanTime))
+		tb.AddRow(r.Variant, r.Bandwidth, r.Regions, fmt.Sprintf("%.3f", r.CellTime))
 	}
 	return tb
 }

@@ -155,6 +155,11 @@ type SchemeRun struct {
 // plan from the trace (the profiled first run), apply the placement, then
 // replay the trace as the optimized subsequent run.
 func (c Config) RunScheme(scheme layout.Scheme, tr trace.Trace) (SchemeRun, error) {
+	return c.runScheme(scheme, tr, replay.Options{Mode: c.ReplayMode})
+}
+
+// runScheme is RunScheme replaying under explicit options.
+func (c Config) runScheme(scheme layout.Scheme, tr trace.Trace, opts replay.Options) (SchemeRun, error) {
 	if err := c.Validate(); err != nil {
 		return SchemeRun{}, err
 	}
@@ -232,7 +237,7 @@ func (c Config) RunScheme(scheme layout.Scheme, tr trace.Trace) (SchemeRun, erro
 		// DRT for mechanics but charge no lookup.
 		mw.SetRedirector(reorder.NewRedirector(placement.DRT, 0))
 	}
-	res, err := replay.RunWith(mw, tr, replay.Options{Mode: c.ReplayMode})
+	res, err := replay.RunWith(mw, tr, opts)
 	if err != nil {
 		return SchemeRun{}, err
 	}

@@ -1,15 +1,13 @@
 package iopath
 
-import (
-	"mhafs/internal/server"
-	"mhafs/internal/trace"
-)
+import "mhafs/internal/server"
 
 // CancelSet collects the cancellable server submissions of one request
 // subtree. The adaptive scheduler attaches a fresh set to each leg of a
 // speculation race (Request.Cancels, inherited by every derived child);
-// the terminal stages register each attempt's Pending handle as they
-// submit it, and the race cancels the loser's whole set at settle time.
+// every server submission of the subtree registers its Pending handle
+// here (it is the submission's server.Canceller), and the race cancels the
+// loser's whole set at settle time.
 //
 // The set latches: once Cancel has run, every later Add cancels its
 // handle immediately — a retry attempt issued after the race settled is
@@ -51,34 +49,3 @@ func (cs *CancelSet) Cancel() {
 
 // Cancelled reports whether Cancel ran.
 func (cs *CancelSet) Cancelled() bool { return cs.cancelled }
-
-// submitCancellable routes one server-bound sub-request through the
-// cancellable submission path, registering the handle in the request's
-// CancelSet. done mirrors the Err-returning submits.
-//
-//mhavet:coldpath cancellable submission runs only for speculative duplicates
-func submitCancellable(req *Request, done func(end float64, err error)) {
-	b := req.Binding
-	var p *server.Pending
-	switch {
-	case b.Server.IsDataless():
-		p = b.Server.SubmitOpCancellable(req.Op, b.bytes(), done)
-	case req.Op == trace.OpWrite:
-		p = b.Server.SubmitWriteCancellable(b.Object, b.Local, b.Payload, done)
-	default:
-		p = b.Server.SubmitReadCancellable(b.Object, b.Local, b.Payload, done)
-	}
-	req.Cancels.Add(p)
-}
-
-// serveCancellable is the terminal submission of a withdrawable
-// sub-request (ServerStage's branch for req.Cancels != nil): completion
-// flows through IODone exactly like the descriptor path — including the
-// read scatter and error propagation — and the handle lands in the set.
-//
-//mhavet:coldpath cancellable submission runs only for speculative duplicates
-func serveCancellable(req *Request) {
-	submitCancellable(req, func(end float64, err error) {
-		req.IODone(end, err)
-	})
-}

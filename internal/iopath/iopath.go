@@ -85,12 +85,11 @@ type Request struct {
 	OnComplete func(end float64)
 
 	// Cancels, when non-nil, marks the request (and every child derived
-	// from it) as withdrawable: the terminal stages submit it through the
-	// servers' cancellable path and register the resulting handles here,
+	// from it) as withdrawable: the terminal stages submit it
+	// cancellably and the servers register the resulting handles here,
 	// so the owner — the adaptive scheduler's speculation race — can
 	// cancel the whole subtree when the other copy wins. Nil on every
-	// ordinary request, which keeps the default submission paths
-	// byte-identical.
+	// ordinary request.
 	Cancels *CancelSet
 
 	pipe        *Pipeline
@@ -291,17 +290,38 @@ func (r *Request) SetBinding(b ServerBinding) {
 
 // IODone implements server.Done: a server completes the sub-request by
 // handing the descriptor back instead of calling a per-request closure.
-// Reads scatter their landed bytes first, exactly as the closure path
-// does (dataless plans carry no scatter).
+// A successful read scatters its landed bytes first (dataless plans carry
+// no scatter); an error finishes the request with it.
 func (r *Request) IODone(end float64, err error) {
 	if err != nil {
 		r.FinishErr(end, err)
 		return
 	}
-	if b := r.Binding; b != nil && r.Op == trace.OpRead && b.Scatter != nil {
+	if b := r.Binding; b != nil && b.Scatter != nil {
 		b.Scatter()
 	}
 	r.Finish(end)
+}
+
+// submit hands the bound sub-request to its server, which completes it
+// through done. Requests of a speculation-race leg (Cancels set) submit
+// withdrawably.
+func (r *Request) submit(done server.Done) {
+	b := r.Binding
+	sub := server.Sub{
+		Op:      r.Op,
+		Object:  b.Object,
+		Local:   b.Local,
+		Bytes:   b.bytes(),
+		Payload: b.Payload,
+		Done:    done,
+	}
+	if r.Cancels != nil {
+		// Set only when present: a nil *CancelSet in the interface field
+		// would read as a non-nil Canceller.
+		sub.Cancels = r.Cancels
+	}
+	b.Server.Submit(sub)
 }
 
 // ServerBinding routes a per-server sub-request: which server, which
@@ -313,7 +333,7 @@ type ServerBinding struct {
 	// Payload is the gathered write payload or the read landing buffer.
 	Payload []byte
 	// Scatter, for reads, copies the landed bytes back into the caller's
-	// buffer; the server stage runs it before reporting completion.
+	// buffer; IODone runs it before reporting completion.
 	Scatter func()
 	// Bytes is the explicit byte count of bindings that carry no payload
 	// (merged batch submissions on dataless servers); when zero the

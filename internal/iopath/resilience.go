@@ -106,10 +106,10 @@ func (m *resilienceMetrics) retry(op trace.Op, delay float64) {
 }
 
 // RetryServerStage is the fault-aware terminal stage: it submits each
-// server-bound sub-request through the error-returning server API and
-// retries retryable failures with deterministic sim-time exponential
-// backoff, under an optional per-attempt timeout. It replaces ServerStage
-// when resilience is enabled.
+// server-bound sub-request like ServerStage, but through a per-attempt
+// server.Done, and retries retryable failures with deterministic sim-time
+// exponential backoff, under an optional per-attempt timeout. It replaces
+// ServerStage when resilience is enabled.
 type RetryServerStage struct {
 	Eng    *sim.Engine
 	Policy RetryPolicy
@@ -141,7 +141,7 @@ func (s *RetryServerStage) SetTelemetry(reg *telemetry.Registry) {
 
 // Handle implements Stage; the chain ends here.
 //
-// Retry attempts allocate (per-attempt completion closures, timers) by
+// Retry attempts allocate (per-attempt completion descriptors, timers) by
 // design: the retry stage is wired only in fault-injection scenarios,
 // outside the XL tier's 0-alloc contract.
 //
@@ -156,71 +156,69 @@ func (s *RetryServerStage) Handle(req *Request, next Handler) error {
 
 // attempt runs try number k (1-based) of the sub-request.
 func (s *RetryServerStage) attempt(req *Request, k int) {
-	b := req.Binding
-	// settled flips when the attempt resolves — by completion or by the
-	// timeout firing first. A completion arriving after the timeout is
-	// ignored: the retry owns the request now. (A late write still
-	// committed its bytes; the retry re-commits the same bytes, which is
-	// idempotent. A late read's scatter is skipped.)
-	settled := false
-	var timer *sim.Timer
+	a := &retryAttempt{stage: s, req: req, k: k}
 	if s.Policy.Timeout > 0 {
-		timer = s.Eng.AfterFunc(s.Policy.Timeout, func() {
-			if settled {
-				return
-			}
-			settled = true
-			if s.tel != nil {
-				s.tel.timeouts.Inc()
-			}
-			req.pipe.Exclusive(func() {
-				s.settle(req, k, s.Eng.Now(), ErrAttemptTimeout)
-			})
-		})
+		a.timer = s.Eng.AfterFunc(s.Policy.Timeout, a.timeout)
 	}
-	done := func(end float64, err error) {
-		if settled {
-			return
-		}
-		settled = true
-		if timer != nil {
-			timer.Stop()
-		}
-		if err == nil && req.Op == trace.OpRead && b.Scatter != nil {
-			b.Scatter()
-		}
-		s.settle(req, k, end, err)
-	}
-	switch {
-	case req.Cancels != nil:
-		// Speculation-race legs submit through the cancellable path so the
-		// race can withdraw them; a cancelled attempt settles with
-		// ErrCancelled, which is not retryable, so the leg finishes
-		// instead of re-issuing work the race already discarded.
-		submitCancellable(req, done)
-	case b.Server.IsDataless():
-		// Dataless servers charge by size alone; merged batch bindings
-		// carry an explicit byte count and no payload.
-		b.Server.SubmitOpErr(req.Op, b.bytes(), done)
-	case req.Op == trace.OpWrite:
-		b.Server.SubmitWriteErr(b.Object, b.Local, b.Payload, done)
-	default:
-		b.Server.SubmitReadErr(b.Object, b.Local, b.Payload, done)
-	}
+	// Speculation-race legs submit withdrawably; a cancelled attempt
+	// settles with ErrCancelled, which is not retryable, so the leg
+	// finishes instead of re-issuing work the race already discarded.
+	req.submit(a)
 }
 
-// settle resolves attempt k: success and non-retryable errors finish the
-// request; retryable errors schedule the next attempt after backoff.
+// retryAttempt is one try of a sub-request: the server's server.Done for
+// that try, racing the optional per-attempt timer. settled flips when the
+// attempt resolves — by completion or by the timeout firing first. A
+// completion arriving after the timeout is ignored: the retry owns the
+// request now. (A late write still committed its bytes; the retry
+// re-commits the same bytes, which is idempotent. A late read's scatter
+// is skipped.)
+type retryAttempt struct {
+	stage   *RetryServerStage
+	req     *Request
+	k       int
+	timer   *sim.Timer
+	settled bool
+}
+
+// IODone implements server.Done.
+//
+//mhavet:coldpath fault-injection retry path
+func (a *retryAttempt) IODone(end float64, err error) {
+	if a.settled {
+		return
+	}
+	a.settled = true
+	if a.timer != nil {
+		a.timer.Stop()
+	}
+	a.stage.settle(a.req, a.k, end, err)
+}
+
+// timeout abandons the attempt at its deadline.
+func (a *retryAttempt) timeout() {
+	if a.settled {
+		return
+	}
+	a.settled = true
+	s := a.stage
+	if s.tel != nil {
+		s.tel.timeouts.Inc()
+	}
+	a.req.pipe.Exclusive(func() {
+		s.settle(a.req, a.k, s.Eng.Now(), ErrAttemptTimeout)
+	})
+}
+
+// settle resolves attempt k: success and non-retryable errors complete
+// the request through IODone (a read scatters its bytes on success);
+// retryable errors schedule the next attempt after backoff.
 // Callers hold the submission lock (server completions run from engine
 // events the pipeline already serializes; the timeout path re-enters via
 // Exclusive).
 func (s *RetryServerStage) settle(req *Request, k int, end float64, err error) {
 	if err == nil || !retryable(err) || k >= s.Policy.MaxAttempts {
-		if err != nil {
-			req.FinishErr(end, err)
-			return
-		}
-		req.Finish(end)
+		req.IODone(end, err)
 		return
 	}
 	delay := s.Policy.Delay(k)

@@ -134,38 +134,14 @@ func (s *Striper) Handle(req *Request, next Handler) error {
 // transport and device service time and completes the request.
 type ServerStage struct{}
 
-// Handle submits the sub-request; the chain ends here.
+// Handle submits the sub-request; the chain ends here. The request itself
+// receives the completion (IODone), so the hot loop allocates no done
+// closure, and an injected fault reaching a chain without the resilience
+// stages finishes the request with its typed error.
 func (ServerStage) Handle(req *Request, next Handler) error {
-	b := req.Binding
-	if b == nil {
+	if req.Binding == nil {
 		return fmt.Errorf("iopath: request for %q reached the server stage without a binding", req.File)
 	}
-	if req.Cancels != nil {
-		// Speculation-race legs must stay withdrawable end to end; the
-		// cancellable path is the coldpath, so the default submissions
-		// below stay byte-identical.
-		serveCancellable(req)
-		return nil
-	}
-	if b.Server.IsDataless() {
-		// The descriptor path: the request itself receives the completion
-		// (IODone), so the hot loop allocates no done closure.
-		b.Server.SubmitDataless(req.Op, b.bytes(), req)
-		return nil
-	}
-	if req.Op == trace.OpWrite {
-		// Byte-accurate submission completes through a per-request closure;
-		// the 0-alloc contract covers the descriptor path above.
-		b.Server.SubmitWrite(b.Object, b.Local, b.Payload, func(end float64) { //mhavet:allow closure
-			req.Finish(end)
-		})
-		return nil
-	}
-	b.Server.SubmitRead(b.Object, b.Local, b.Payload, func(end float64) { //mhavet:allow closure
-		if b.Scatter != nil {
-			b.Scatter()
-		}
-		req.Finish(end)
-	})
+	req.submit(req)
 	return nil
 }

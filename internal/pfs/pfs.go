@@ -20,6 +20,7 @@ import (
 	"mhafs/internal/sim"
 	"mhafs/internal/stripe"
 	"mhafs/internal/telemetry"
+	"mhafs/internal/trace"
 	"mhafs/internal/units"
 )
 
@@ -147,10 +148,10 @@ type Cluster struct {
 	stripeMeter *stripe.Meter
 	faults      *fault.Injector
 
-	// Dataless-mode planning scratch: the split and sub-request slices
-	// are reused across Plan calls (consumers use the plan synchronously
-	// within the stripe stage), and zeros is the shared stand-in payload
-	// every sub-request slices — only its length is ever consumed.
+	// Planning scratch: the split and sub-request slices are reused
+	// across Plan calls (consumers use the plan synchronously), and zeros
+	// is the shared stand-in payload every dataless sub-request slices —
+	// only its length is ever consumed.
 	splitScratch []stripe.SubRequest
 	planScratch  []SubRequest
 	zeros        []byte
@@ -248,9 +249,9 @@ func (c *Cluster) PhysicalIndex(f *File, ref stripe.ServerRef) int {
 }
 
 // SetFaults attaches (or, with nil, detaches) a fault injector to every
-// server of the cluster. The raw Cluster Write/Read path stays
-// fault-unaware (it panics on injected errors); resilient runs route
-// through the I/O pipeline's retry and failover stages.
+// server of the cluster. The raw Cluster Write/Read path has no retry or
+// failover (an injected fault surfaces as its error); resilient runs
+// route through the I/O pipeline's retry and failover stages.
 func (c *Cluster) SetFaults(in *fault.Injector) {
 	c.faults = in
 	for _, s := range c.Servers() {
@@ -395,99 +396,27 @@ type SubRequest struct {
 // single local access. The round-interleaved payload pieces are gathered
 // into that local order.
 func (c *Cluster) PlanWrite(f *File, off int64, data []byte) []SubRequest {
-	n := int64(len(data))
-	if end := off + n; end > f.Size {
+	if end := off + int64(len(data)); end > f.Size {
 		f.Size = end
 	}
-	if c.cfg.Dataless {
-		return c.planDataless(f, off, n)
-	}
-	return c.planWriteBytes(f, off, data)
-}
-
-// planWriteBytes is the byte-accurate write plan: payload pieces are
-// gathered into per-server buffers. It allocates per request by design —
-// the 0-alloc contract covers the dataless plan (planDataless), which is
-// what the XL tier runs.
-//
-//mhavet:coldpath byte-accurate planning; the XL tier plans dataless
-func (c *Cluster) planWriteBytes(f *File, off int64, data []byte) []SubRequest {
-	n := int64(len(data))
-	subs := f.Layout.Split(off, n)
-	if c.stripeMeter != nil {
-		c.stripeMeter.ObserveSplit(f.Name, subs)
-	}
-	gathered := make(map[stripe.ServerRef][]byte, len(subs))
-	for _, sub := range subs {
-		gathered[sub.Server] = make([]byte, 0, sub.Size)
-	}
-	for _, seg := range f.Layout.Segments(off, n) {
-		gathered[seg.Server] = append(gathered[seg.Server], data[seg.Global-off:seg.Global-off+seg.Size]...)
-	}
-	out := make([]SubRequest, 0, len(subs))
-	for _, sub := range subs {
-		out = append(out, SubRequest{
-			Server: c.ServerForFile(f, sub.Server),
-			Object: f.Name,
-			Local:  sub.Local,
-			Data:   gathered[sub.Server],
-		})
-	}
-	return out
+	return c.plan(trace.OpWrite, f, off, data)
 }
 
 // PlanRead computes the striped sub-requests of a read, mirroring
 // PlanWrite: one coalesced sub-request per server, each carrying a
 // Scatter that lands its bytes in the right interleaved positions of buf.
 func (c *Cluster) PlanRead(f *File, off int64, buf []byte) []SubRequest {
-	if c.cfg.Dataless {
-		return c.planDataless(f, off, int64(len(buf)))
-	}
-	return c.planReadBytes(f, off, buf)
+	return c.plan(trace.OpRead, f, off, buf)
 }
 
-// planReadBytes is the byte-accurate read plan, with per-sub-request
-// scatter closures. Like planWriteBytes it allocates per request by
-// design and sits outside the 0-alloc contract.
-//
-//mhavet:coldpath byte-accurate planning; the XL tier plans dataless
-func (c *Cluster) planReadBytes(f *File, off int64, buf []byte) []SubRequest {
-	n := int64(len(buf))
-	subs := f.Layout.Split(off, n)
-	if c.stripeMeter != nil {
-		c.stripeMeter.ObserveSplit(f.Name, subs)
-	}
-	segs := f.Layout.Segments(off, n)
-	out := make([]SubRequest, 0, len(subs))
-	for _, sub := range subs {
-		sub := sub
-		tmp := make([]byte, sub.Size)
-		out = append(out, SubRequest{
-			Server: c.ServerForFile(f, sub.Server),
-			Object: f.Name,
-			Local:  sub.Local,
-			Data:   tmp,
-			Scatter: func() {
-				var consumed int64
-				for _, seg := range segs {
-					if seg.Server != sub.Server {
-						continue
-					}
-					copy(buf[seg.Global-off:seg.Global-off+seg.Size], tmp[consumed:consumed+seg.Size])
-					consumed += seg.Size
-				}
-			},
-		})
-	}
-	return out
-}
-
-// planDataless is the shared dataless plan: one sub-request per server
-// with the cluster's zero buffer standing in for the payload (only its
-// length is consumed — it sizes the service time) and no scatter. The
-// returned slice is planning scratch reused by the next Plan call;
-// consumers use it synchronously, as the stripe stage does.
-func (c *Cluster) planDataless(f *File, off, n int64) []SubRequest {
+// plan splits the extent into one sub-request per server. Only a
+// byte-storing cluster moves payload (see attachPayload); on a dataless
+// cluster every sub-request slices the shared zero buffer, whose length
+// alone sizes the service time, and carries no scatter. The returned
+// slice is planning scratch reused by the next plan; consumers use it
+// synchronously, as the stripe stage and Write/Read do.
+func (c *Cluster) plan(op trace.Op, f *File, off int64, data []byte) []SubRequest {
+	n := int64(len(data))
 	subs := f.Layout.AppendSplit(c.splitScratch[:0], off, n)
 	c.splitScratch = subs
 	if c.stripeMeter != nil {
@@ -495,111 +424,161 @@ func (c *Cluster) planDataless(f *File, off, n int64) []SubRequest {
 	}
 	out := c.planScratch[:0]
 	for _, sub := range subs {
-		if sub.Size > int64(len(c.zeros)) {
-			// Doubling scratch growth amortizes to zero per op.
-			c.zeros = make([]byte, sub.Size*2) //mhavet:allow literal
+		sr := SubRequest{Server: c.ServerForFile(f, sub.Server), Object: f.Name, Local: sub.Local}
+		if c.cfg.Dataless {
+			if sub.Size > int64(len(c.zeros)) {
+				// Doubling scratch growth amortizes to zero per op.
+				c.zeros = make([]byte, sub.Size*2) //mhavet:allow literal
+			}
+			sr.Data = c.zeros[:sub.Size]
 		}
-		out = append(out, SubRequest{
-			Server: c.ServerForFile(f, sub.Server),
-			Object: f.Name,
-			Local:  sub.Local,
-			Data:   c.zeros[:sub.Size],
-		})
+		out = append(out, sr)
+	}
+	if !c.cfg.Dataless {
+		attachPayload(op, f.Layout, off, data, subs, out)
 	}
 	c.planScratch = out
 	return out
 }
 
+// attachPayload gives each sub-request of a byte-accurate plan its bytes:
+// a write's round-interleaved pieces gathered into local order, or a
+// read's landing buffer plus the Scatter that copies it back into the
+// caller's buffer. Segments ascend in global order, and each server's
+// local order follows it, so filtering them per server yields the local
+// sequence.
+//
+//mhavet:coldpath byte-accurate payload movement; dataless clusters never call it
+func attachPayload(op trace.Op, l stripe.Layout, off int64, data []byte, subs []stripe.SubRequest, out []SubRequest) {
+	segs := l.Segments(off, int64(len(data)))
+	for i, sub := range subs {
+		ref, buf := sub.Server, make([]byte, sub.Size)
+		out[i].Data = buf
+		if op == trace.OpWrite {
+			var at int64
+			for _, seg := range segs {
+				if seg.Server == ref {
+					at += int64(copy(buf[at:], data[seg.Global-off:seg.Global-off+seg.Size]))
+				}
+			}
+			continue
+		}
+		out[i].Scatter = func() {
+			var at int64
+			for _, seg := range segs {
+				if seg.Server == ref {
+					at += int64(copy(data[seg.Global-off:seg.Global-off+seg.Size], buf[at:]))
+				}
+			}
+		}
+	}
+}
+
 // Write issues a striped write of data at offset off. done (optional)
-// receives the virtual time the slowest sub-request completed. The call
+// receives the virtual time the slowest sub-request completed and the
+// first sub-request error (an injected fault: this raw path has no retry
+// or failover — resilient runs route through the I/O pipeline). The call
 // only schedules work; the caller drives the engine.
-func (c *Cluster) Write(f *File, off int64, data []byte, done func(end float64)) error {
+func (c *Cluster) Write(f *File, off int64, data []byte, done func(end float64, err error)) error {
 	if f == nil {
 		return fmt.Errorf("pfs: write to nil file")
 	}
+	return c.submit(trace.OpWrite, f, off, data, done)
+}
+
+// Read issues a striped read into buf from offset off; buf is fully
+// populated when done runs without error. Reads past the current size
+// return zeros, like a sparse file. Errors are reported as for Write.
+func (c *Cluster) Read(f *File, off int64, buf []byte, done func(end float64, err error)) error {
+	if f == nil {
+		return fmt.Errorf("pfs: read from nil file")
+	}
+	return c.submit(trace.OpRead, f, off, buf, done)
+}
+
+// submit plans a striped Write/Read and submits every sub-request.
+func (c *Cluster) submit(op trace.Op, f *File, off int64, data []byte, done func(end float64, err error)) error {
 	if off < 0 {
 		return fmt.Errorf("pfs: negative offset %d", off)
 	}
 	if len(data) == 0 {
 		if done != nil {
-			c.Eng.Schedule(0, func() { done(c.Eng.Now()) })
+			c.Eng.Schedule(0, func() { done(c.Eng.Now(), nil) })
 		}
 		return nil
 	}
-	subs := c.PlanWrite(f, off, data)
-	latest := new(float64)
-	barrier := sim.NewBarrier(len(subs), func() {
-		if done != nil {
-			done(*latest)
-		}
-	})
-	for _, sub := range subs {
-		sub.Server.SubmitWrite(sub.Object, sub.Local, sub.Data, func(end float64) {
-			if end > *latest {
-				*latest = end
-			}
-			barrier.Arrive()
+	var subs []SubRequest
+	if op == trace.OpWrite {
+		subs = c.PlanWrite(f, off, data)
+	} else {
+		subs = c.PlanRead(f, off, data)
+	}
+	st := &striped{open: len(subs), done: done}
+	pieces := make([]stripedPiece, len(subs))
+	for i, sub := range subs {
+		pieces[i] = stripedPiece{op: st, scatter: sub.Scatter}
+		sub.Server.Submit(server.Sub{
+			Op: op, Object: sub.Object, Local: sub.Local,
+			Bytes: int64(len(sub.Data)), Payload: sub.Data, Done: &pieces[i],
 		})
 	}
 	return nil
 }
 
-// Read issues a striped read into buf from offset off; buf is fully
-// populated when done runs. Reads past the current size return zeros, like
-// a sparse file.
-func (c *Cluster) Read(f *File, off int64, buf []byte, done func(end float64)) error {
-	if f == nil {
-		return fmt.Errorf("pfs: read from nil file")
+// striped gathers the sub-request completions of one Write/Read: the
+// slowest end time and the first error win, and the last arrival reports
+// them.
+type striped struct {
+	open   int
+	latest float64
+	err    error
+	done   func(end float64, err error)
+}
+
+// stripedPiece is one sub-request's server.Done.
+type stripedPiece struct {
+	op      *striped
+	scatter func()
+}
+
+// IODone implements server.Done.
+func (p *stripedPiece) IODone(end float64, err error) {
+	if err == nil && p.scatter != nil {
+		p.scatter()
 	}
-	if off < 0 {
-		return fmt.Errorf("pfs: negative offset %d", off)
+	st := p.op
+	if end > st.latest {
+		st.latest = end
 	}
-	if len(buf) == 0 {
-		if done != nil {
-			c.Eng.Schedule(0, func() { done(c.Eng.Now()) })
-		}
-		return nil
+	if err != nil && st.err == nil {
+		st.err = err
 	}
-	subs := c.PlanRead(f, off, buf)
-	latest := new(float64)
-	barrier := sim.NewBarrier(len(subs), func() {
-		if done != nil {
-			done(*latest)
-		}
-	})
-	for _, sub := range subs {
-		sub := sub
-		sub.Server.SubmitRead(sub.Object, sub.Local, sub.Data, func(end float64) {
-			sub.Scatter()
-			if end > *latest {
-				*latest = end
-			}
-			barrier.Arrive()
-		})
+	if st.open--; st.open == 0 && st.done != nil {
+		st.done(st.latest, st.err)
 	}
-	return nil
 }
 
 // WriteSync writes and runs the engine until the write completes,
-// returning the completion time. Only for single-threaded convenience use
-// (examples, tests); concurrent workloads schedule explicitly.
+// returning the completion time and the write's error. Only for
+// single-threaded convenience use (examples, tests); concurrent workloads
+// schedule explicitly.
 func (c *Cluster) WriteSync(f *File, off int64, data []byte) (float64, error) {
-	var end float64
-	if err := c.Write(f, off, data, func(t float64) { end = t }); err != nil {
-		return 0, err
-	}
-	c.Eng.Run()
-	return end, nil
+	return c.sync(c.Write, f, off, data)
 }
 
 // ReadSync reads and runs the engine until the read completes.
 func (c *Cluster) ReadSync(f *File, off int64, buf []byte) (float64, error) {
+	return c.sync(c.Read, f, off, buf)
+}
+
+func (c *Cluster) sync(io func(*File, int64, []byte, func(float64, error)) error, f *File, off int64, data []byte) (float64, error) {
 	var end float64
-	if err := c.Read(f, off, buf, func(t float64) { end = t }); err != nil {
+	var ioErr error
+	if err := io(f, off, data, func(t float64, err error) { end, ioErr = t, err }); err != nil {
 		return 0, err
 	}
 	c.Eng.Run()
-	return end, nil
+	return end, ioErr
 }
 
 // ServerStats returns per-server statistics in flat order — the data

@@ -197,8 +197,8 @@ func TestZeroLengthOps(t *testing.T) {
 	c := newCluster(t, smallConfig())
 	f, _ := c.CreateDefault("f")
 	var wrote, read bool
-	c.Write(f, 0, nil, func(float64) { wrote = true })
-	c.Read(f, 0, nil, func(float64) { read = true })
+	c.Write(f, 0, nil, func(float64, error) { wrote = true })
+	c.Read(f, 0, nil, func(float64, error) { read = true })
 	c.Eng.Run()
 	if !wrote || !read {
 		t.Error("zero-length ops should still complete")
@@ -263,8 +263,8 @@ func TestServerContentionSerializes(t *testing.T) {
 	round := f.Layout.RoundLength()
 	data := make([]byte, round)
 	var ends []float64
-	c.Write(f, 0, data, func(e float64) { ends = append(ends, e) })
-	c.Write(f, round, data, func(e float64) { ends = append(ends, e) })
+	c.Write(f, 0, data, func(e float64, _ error) { ends = append(ends, e) })
+	c.Write(f, round, data, func(e float64, _ error) { ends = append(ends, e) })
 	c.Eng.Run()
 	h := c.ServerFor(stripe.ServerRef{Class: stripe.ClassH, Index: 0})
 	one := h.ServiceTime(trace.OpWrite, 64*units.KB)

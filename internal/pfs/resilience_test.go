@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -110,6 +111,41 @@ func TestClusterSetFaults(t *testing.T) {
 	for _, s := range c.Servers() {
 		if s.Faults() != nil {
 			t.Errorf("server %s still has the injector after detach", s.Name)
+		}
+	}
+}
+
+// TestWriteSyncReportsOutage: the raw Write/Read path has no retry or
+// failover, so an outage it runs into surfaces as the typed error —
+// returned by WriteSync/ReadSync — instead of a panic. The sub-requests
+// the outage spares still complete, and the slowest one stamps the end.
+func TestWriteSyncReportsOutage(t *testing.T) {
+	for _, dataless := range []bool{false, true} {
+		cfg := smallConfig()
+		cfg.Dataless = dataless
+		c := newCluster(t, cfg)
+		f, err := c.CreateDefault("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		down := c.ServerForFile(f, f.Layout.Servers()[0]).Name
+		in, err := fault.NewInjector(c.Eng, fault.Schedule{Windows: []fault.Window{
+			{Server: down, Kind: fault.Outage, Start: 0, End: 1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetFaults(in)
+		data := make([]byte, f.Layout.RoundLength())
+		end, err := c.WriteSync(f, 0, data)
+		if !errors.Is(err, fault.ErrUnavailable) {
+			t.Fatalf("dataless=%v: WriteSync err = %v, want ErrUnavailable", dataless, err)
+		}
+		if end <= 0 {
+			t.Errorf("dataless=%v: end = %v, want the surviving sub-requests' completion", dataless, end)
+		}
+		if _, err := c.ReadSync(f, 0, data); !errors.Is(err, fault.ErrUnavailable) {
+			t.Errorf("dataless=%v: ReadSync err = %v, want ErrUnavailable", dataless, err)
 		}
 	}
 }

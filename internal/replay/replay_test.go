@@ -1,10 +1,12 @@
 package replay
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"mhafs/internal/fault"
 	"mhafs/internal/layout"
 	"mhafs/internal/mpiio"
 	"mhafs/internal/pfs"
@@ -403,5 +405,36 @@ func TestRunTimedKeepsOrdering(t *testing.T) {
 	first := h.ServiceTime(trace.OpWrite, 4*units.MB)
 	if res.Makespan <= first {
 		t.Errorf("makespan %v should exceed the first request alone %v", res.Makespan, first)
+	}
+}
+
+// TestOutageWithoutResilienceFailsTyped: an outage reaching a pipeline
+// that has no resilience stages finishes the affected requests with the
+// injector's typed error, and the replay reports it (wrapped), on
+// byte-accurate and dataless clusters alike — no panic, no hang.
+func TestOutageWithoutResilienceFailsTyped(t *testing.T) {
+	for _, dataless := range []bool{false, true} {
+		cfg := pfs.DefaultConfig()
+		cfg.HServers, cfg.SServers = 2, 2
+		cfg.Dataless = dataless
+		c, err := pfs.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := fault.NewInjector(c.Eng, fault.Schedule{Windows: []fault.Window{
+			{Server: "h0", Kind: fault.Outage, Start: 0, End: 1},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetFaults(in)
+		tr := trace.Trace{
+			{Rank: 0, File: "f", Op: trace.OpWrite, Offset: 0, Size: 256 * units.KB, Time: 0},
+			{Rank: 1, File: "f", Op: trace.OpRead, Offset: 0, Size: 256 * units.KB, Time: 0},
+		}
+		_, err = RunWith(mpiio.New(c), tr, Options{ScratchReads: dataless})
+		if !errors.Is(err, fault.ErrUnavailable) {
+			t.Errorf("dataless=%v: replay err = %v, want one wrapping ErrUnavailable", dataless, err)
+		}
 	}
 }

@@ -23,6 +23,19 @@ func newCancelServer(t *testing.T) (*sim.Engine, *Server) {
 	return eng, s
 }
 
+// handles is a Canceller keeping every registered handle.
+type handles []*Pending
+
+func (h *handles) Add(p *Pending) { *h = append(*h, p) }
+
+// submitCancellable submits a 64 KB dataless write withdrawably and
+// returns its handle.
+func submitCancellable(s *Server, done doneFunc) *Pending {
+	var h handles
+	s.Submit(Sub{Op: trace.OpWrite, Bytes: 64 * units.KB, Done: done, Cancels: &h})
+	return h[0]
+}
+
 // TestCancelRescindsUnstartedTail: cancelling the queue tail before its
 // service window starts withdraws the reservation — the backlog rolls
 // back, the commit never runs, and the completion surfaces ErrCancelled
@@ -31,9 +44,9 @@ func TestCancelRescindsUnstartedTail(t *testing.T) {
 	eng, s := newCancelServer(t)
 	var firstErr, tailErr error
 	done1 := func(end float64, err error) { firstErr = err }
-	p1 := s.SubmitOpCancellable(trace.OpWrite, 64*units.KB, done1)
+	p1 := submitCancellable(s, done1)
 	backlogOne := s.Backlog()
-	p2 := s.SubmitOpCancellable(trace.OpWrite, 64*units.KB, func(end float64, err error) { tailErr = err })
+	p2 := submitCancellable(s, func(end float64, err error) { tailErr = err })
 	if s.Backlog() <= backlogOne {
 		t.Fatalf("backlog %v did not grow past %v on the second submission", s.Backlog(), backlogOne)
 	}
@@ -68,7 +81,7 @@ func TestCancelBurnsStartedWindow(t *testing.T) {
 	eng, s := newCancelServer(t)
 	var end float64
 	var err error
-	p := s.SubmitOpCancellable(trace.OpWrite, 64*units.KB, func(e float64, e2 error) { end, err = e, e2 })
+	p := submitCancellable(s, func(e float64, e2 error) { end, err = e, e2 })
 	want := s.Backlog() // the reserved service window
 
 	p.Cancel()
@@ -95,9 +108,9 @@ func TestCancelBurnsStartedWindow(t *testing.T) {
 // so the middle of the queue cannot be withdrawn.
 func TestCancelCoveredWindowBurns(t *testing.T) {
 	eng, s := newCancelServer(t)
-	s.SubmitOpCancellable(trace.OpWrite, 64*units.KB, func(end float64, err error) {})
-	mid := s.SubmitOpCancellable(trace.OpWrite, 64*units.KB, func(end float64, err error) {})
-	s.SubmitOpCancellable(trace.OpWrite, 64*units.KB, func(end float64, err error) {})
+	submitCancellable(s, func(end float64, err error) {})
+	mid := submitCancellable(s, func(end float64, err error) {})
+	submitCancellable(s, func(end float64, err error) {})
 
 	mid.Cancel()
 	if mid.Rescinded() {
@@ -107,5 +120,32 @@ func TestCancelCoveredWindowBurns(t *testing.T) {
 
 	if st := s.Stats(); st.Writes != 2 {
 		t.Errorf("stats = %d writes, want 2 (the cancelled middle burned)", st.Writes)
+	}
+}
+
+// TestCancelBurnsByteAccurateWrite: on a byte-storing server a burned
+// window suppresses the byte movement too — the payload never lands.
+func TestCancelBurnsByteAccurateWrite(t *testing.T) {
+	eng := &sim.Engine{}
+	s := newTestServer(t, eng)
+	var h handles
+	var err error
+	s.Submit(Sub{
+		Op: trace.OpWrite, Object: "f", Bytes: 4,
+		Payload: []byte{1, 2, 3, 4},
+		Done:    doneFunc(func(_ float64, e error) { err = e }),
+		Cancels: &h,
+	})
+	h[0].Cancel()
+	eng.Run()
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	got := make([]byte, 4)
+	s.Object("f").ReadAt(got, 0)
+	for i, b := range got {
+		if b != 0 {
+			t.Fatalf("byte %d = %d landed from a cancelled write", i, b)
+		}
 	}
 }

@@ -37,7 +37,7 @@ func TestSlowdownScalesDeviceTermOnly(t *testing.T) {
 	}})
 	const n = 64 << 10
 	var end float64
-	s.SubmitWriteErr("f", 0, make([]byte, n), func(e float64, err error) {
+	submit(s, trace.OpWrite, 0, make([]byte, n), func(e float64, err error) {
 		if err != nil {
 			t.Errorf("slowdown must not fail the attempt: %v", err)
 		}
@@ -64,7 +64,7 @@ func TestTransientConsumesServiceAndSkipsCommit(t *testing.T) {
 	const n = 4096
 	var end float64
 	var gotErr error
-	s.SubmitWriteErr("f", 0, bytes.Repeat([]byte{0xAB}, n), func(e float64, err error) {
+	submit(s, trace.OpWrite, 0, bytes.Repeat([]byte{0xAB}, n), func(e float64, err error) {
 		end, gotErr = e, err
 	})
 	eng.Run()
@@ -98,7 +98,7 @@ func TestOutageRefusesImmediately(t *testing.T) {
 	}})
 	var end float64 = -1
 	var gotErr error
-	s.SubmitReadErr("f", 0, make([]byte, 4096), func(e float64, err error) {
+	submit(s, trace.OpRead, 0, make([]byte, 4096), func(e float64, err error) {
 		end, gotErr = e, err
 	})
 	eng.Run()
@@ -131,8 +131,8 @@ func TestFaultConsultedAtServiceTime(t *testing.T) {
 	// At t=0 the server is healthy: the first attempt starts immediately
 	// and succeeds. The second queues behind it; its service starts at
 	// first > 5 ms, inside the transient window, so it fails.
-	s.SubmitWriteErr("f", 0, make([]byte, n), done)
-	s.SubmitWriteErr("f", n, make([]byte, n), done)
+	submit(s, trace.OpWrite, 0, make([]byte, n), done)
+	submit(s, trace.OpWrite, n, make([]byte, n), done)
 	eng.Run()
 	if len(errs) != 2 {
 		t.Fatalf("completions = %d, want 2", len(errs))
@@ -143,22 +143,6 @@ func TestFaultConsultedAtServiceTime(t *testing.T) {
 	if !errors.Is(errs[1], fault.ErrTransient) {
 		t.Errorf("queued attempt (service start %v) = %v, want ErrTransient", first, errs[1])
 	}
-}
-
-// TestLegacyPathPanicsOnFault: the fault-unaware SubmitWrite/SubmitRead
-// must fail loudly rather than silently dropping an injected error.
-func TestLegacyPathPanicsOnFault(t *testing.T) {
-	eng := &sim.Engine{}
-	s, _ := newFaultyServer(t, eng, fault.Schedule{Windows: []fault.Window{
-		{Server: "h0", Kind: fault.Outage, Start: 0, End: 1},
-	}})
-	defer func() {
-		if recover() == nil {
-			t.Error("legacy submit must panic on an injected fault")
-		}
-	}()
-	s.SubmitWrite("f", 0, make([]byte, 16), nil)
-	eng.Run()
 }
 
 // TestHealthyPathUnchangedWithInjector: an attached injector with no
@@ -181,8 +165,8 @@ func TestHealthyPathUnchangedWithInjector(t *testing.T) {
 			s.SetFaults(in)
 		}
 		var end float64
-		s.SubmitWrite("f", 0, make([]byte, n), func(e float64) { end = e })
-		s.SubmitRead("f", 0, make([]byte, n), func(e float64) { end = e })
+		submit(s, trace.OpWrite, 0, make([]byte, n), func(e float64, _ error) { end = e })
+		submit(s, trace.OpRead, 0, make([]byte, n), func(e float64, _ error) { end = e })
 		eng.Run()
 		return end
 	}

@@ -33,9 +33,10 @@ type Server struct {
 	faults *fault.Injector
 
 	// dataless servers charge full virtual-time costs but move no bytes;
-	// freeIn is their pooled in-flight descriptor list (see dataless.go).
+	// free is the pool of non-cancellable submission descriptors (see
+	// submit.go).
 	dataless bool
-	freeIn   []*inflight
+	free     []*Pending
 
 	readBytes  int64
 	writeBytes int64
@@ -144,151 +145,12 @@ func (s *Server) Object(name string) *ByteStore {
 }
 
 // SetFaults attaches (or, with nil, detaches) a fault injector: the hook
-// every submit consults at service time. With no injector the submit path
-// is byte-for-byte the historical healthy one.
+// Submit consults at service time. With no injector the submit path is
+// byte-for-byte the historical healthy one.
 func (s *Server) SetFaults(in *fault.Injector) { s.faults = in }
 
 // Faults returns the attached injector (nil when the server is healthy).
 func (s *Server) Faults() *fault.Injector { return s.faults }
-
-// SubmitWrite enqueues a write of data at the given local offset of the
-// named object. The bytes are committed and done (optional) invoked when
-// the FIFO queue reaches and completes the request.
-//
-// SubmitWrite is the fault-unaware legacy path: it panics if the attached
-// injector fails the attempt. Resilient clients (the pipeline's retry
-// stage) use SubmitWriteErr.
-//
-// The closure-based submits allocate per request by design (byte copies,
-// completion closures); the XL tier's 0-alloc contract is carried by the
-// descriptor path, SubmitDataless + IODone.
-//
-//mhavet:coldpath closure-based submission; the XL tier uses SubmitDataless
-func (s *Server) SubmitWrite(obj string, local int64, data []byte, done func(end float64)) {
-	s.SubmitWriteErr(obj, local, data, func(end float64, err error) {
-		if err != nil {
-			// Reaching a faulted server without the resilient pipeline is a
-			// wiring bug, not a runtime condition: the raw path has no way
-			// to retry or fail over.
-			panic(fmt.Sprintf("server %s: injected fault on the fault-unaware path: %v", s.Name, err))
-		}
-		if done != nil {
-			done(end)
-		}
-	})
-}
-
-// SubmitRead enqueues a read into buf from the given local offset of the
-// named object. buf is filled at virtual completion time, before done
-// runs. Like SubmitWrite, it panics on injected faults.
-//
-//mhavet:coldpath closure-based submission; the XL tier uses SubmitDataless
-func (s *Server) SubmitRead(obj string, local int64, buf []byte, done func(end float64)) {
-	s.SubmitReadErr(obj, local, buf, func(end float64, err error) {
-		if err != nil {
-			panic(fmt.Sprintf("server %s: injected fault on the fault-unaware path: %v", s.Name, err))
-		}
-		if done != nil {
-			done(end)
-		}
-	})
-}
-
-// SubmitWriteErr is the fault-aware write submission: done receives the
-// attempt's virtual end time and its error. An outage refuses the attempt
-// immediately (no queueing, no service time); a transient fault consumes
-// the full service slot and then fails without committing bytes; a
-// slowdown scales the device term of the service time.
-//
-//mhavet:coldpath closure-based submission; the XL tier uses SubmitDataless
-func (s *Server) SubmitWriteErr(obj string, local int64, data []byte, done func(end float64, err error)) {
-	n := int64(len(data))
-	if s.dataless {
-		s.submit(trace.OpWrite, n, func() {
-			s.writeBytes += n
-			s.writes++
-		}, done)
-		return
-	}
-	// Copy now: the caller may reuse its buffer before virtual completion.
-	buf := make([]byte, n)
-	copy(buf, data)
-	s.submit(trace.OpWrite, n, func() {
-		s.Object(obj).WriteAt(buf, local)
-		s.writeBytes += n
-		s.writes++
-	}, done)
-}
-
-// SubmitReadErr is the fault-aware read submission, mirroring
-// SubmitWriteErr. buf is filled only on success.
-//
-//mhavet:coldpath closure-based submission; the XL tier uses SubmitDataless
-func (s *Server) SubmitReadErr(obj string, local int64, buf []byte, done func(end float64, err error)) {
-	n := int64(len(buf))
-	if s.dataless {
-		s.submit(trace.OpRead, n, func() {
-			s.readBytes += n
-			s.reads++
-		}, done)
-		return
-	}
-	s.submit(trace.OpRead, n, func() {
-		s.Object(obj).ReadAt(buf, local)
-		s.readBytes += n
-		s.reads++
-	}, done)
-}
-
-// submit is the shared submission path. commit applies the operation's
-// data movement and counters; it runs only when the attempt succeeds.
-//
-// The fault hook is consulted at the attempt's service-start time: under
-// FIFO the start is max(now, queue drain), known deterministically at
-// submission. A transient attempt still occupies the server (and is
-// observed in telemetry — the device and wire did the work); only the
-// commit is skipped.
-func (s *Server) submit(op trace.Op, n int64, commit func(), done func(end float64, err error)) {
-	if done == nil {
-		panic(fmt.Sprintf("server %s: submit with nil completion", s.Name))
-	}
-	submit, tel := s.eng.Now(), s.tel
-	d := fault.Healthy()
-	if s.faults != nil {
-		start := submit
-		if bu := s.res.BusyUntil(); bu > start {
-			start = bu
-		}
-		d = s.faults.At(s.Name, start)
-		s.faults.Observe(s.Name, d)
-		if d.Down {
-			// Refused at the door: an unreachable server consumes neither
-			// queue nor service time. Completion is still asynchronous,
-			// like every other submit.
-			s.eng.Schedule(0, func() { done(s.eng.Now(), fault.ErrUnavailable) })
-			return
-		}
-	}
-	service := s.serviceTimeAt(op, n, s.res.Depth())
-	if d.Scale != 1 && n > 0 {
-		// Only the device term degrades; the network path is healthy.
-		service = s.Dev.ServiceTimeAt(op, n, s.res.Depth())*d.Scale + s.Net.TransferTime(n)
-	}
-	s.res.Acquire(service, func(start, end float64) {
-		if d.Transient {
-			if tel != nil {
-				tel.observe(op, n, submit, start, end)
-			}
-			done(end, fault.ErrTransient)
-			return
-		}
-		commit()
-		if tel != nil {
-			tel.observe(op, n, submit, start, end)
-		}
-		done(end, nil)
-	})
-}
 
 // Stats summarizes the server's activity.
 type Stats struct {
@@ -327,9 +189,4 @@ func (s *Server) Objects() []string {
 		out = append(out, n)
 	}
 	return out
-}
-
-// ResetStats clears the activity counters but keeps stored data.
-func (s *Server) ResetStats() {
-	s.reads, s.writes, s.readBytes, s.writeBytes = 0, 0, 0, 0
 }

@@ -126,6 +126,22 @@ func newTestServer(t *testing.T, eng *sim.Engine) *Server {
 	return s
 }
 
+// doneFunc adapts a completion func to Done; a nil func ignores the
+// completion.
+type doneFunc func(end float64, err error)
+
+func (f doneFunc) IODone(end float64, err error) {
+	if f != nil {
+		f(end, err)
+	}
+}
+
+// submit sends a byte-accurate sub-request carrying p at local offset
+// local of object "f".
+func submit(s *Server, op trace.Op, local int64, p []byte, done doneFunc) {
+	s.Submit(Sub{Op: op, Object: "f", Local: local, Bytes: int64(len(p)), Payload: p, Done: done})
+}
+
 func TestServerNewValidates(t *testing.T) {
 	var eng sim.Engine
 	if _, err := New(&eng, "bad", device.Model{}, netmodel.DefaultGigE()); err == nil {
@@ -141,9 +157,9 @@ func TestServerWriteReadRoundTrip(t *testing.T) {
 	s := newTestServer(t, &eng)
 	data := []byte("stripe data")
 	var wrote, read bool
-	s.SubmitWrite("f", 100, data, func(end float64) { wrote = true })
+	submit(s, trace.OpWrite, 100, data, func(float64, error) { wrote = true })
 	buf := make([]byte, len(data))
-	s.SubmitRead("f", 100, buf, func(end float64) { read = true })
+	submit(s, trace.OpRead, 100, buf, func(float64, error) { read = true })
 	eng.Run()
 	if !wrote || !read {
 		t.Fatal("callbacks did not run")
@@ -173,7 +189,7 @@ func TestServerFIFOTiming(t *testing.T) {
 	per := s.ServiceTime(trace.OpWrite, n)
 	var ends []float64
 	for i := 0; i < 3; i++ {
-		s.SubmitWrite("f", int64(i)*n, make([]byte, n), func(end float64) { ends = append(ends, end) })
+		submit(s, trace.OpWrite, int64(i)*n, make([]byte, n), func(end float64, _ error) { ends = append(ends, end) })
 	}
 	eng.Run()
 	// Request i arrives with i requests already queued, paying i steps of
@@ -191,21 +207,21 @@ func TestServerCallerBufferReuse(t *testing.T) {
 	var eng sim.Engine
 	s := newTestServer(t, &eng)
 	buf := []byte("first")
-	s.SubmitWrite("f", 0, buf, nil)
+	submit(s, trace.OpWrite, 0, buf, nil)
 	copy(buf, "XXXXX") // caller reuses buffer before virtual completion
 	eng.Run()
 	got := make([]byte, 5)
 	s.Object("f").ReadAt(got, 0)
 	if string(got) != "first" {
-		t.Errorf("stored %q; SubmitWrite must copy", got)
+		t.Errorf("stored %q; a byte-accurate write must copy", got)
 	}
 }
 
 func TestServerStats(t *testing.T) {
 	var eng sim.Engine
 	s := newTestServer(t, &eng)
-	s.SubmitWrite("f", 0, make([]byte, 1000), nil)
-	s.SubmitRead("f", 0, make([]byte, 400), nil)
+	submit(s, trace.OpWrite, 0, make([]byte, 1000), nil)
+	submit(s, trace.OpRead, 0, make([]byte, 400), nil)
 	eng.Run()
 	st := s.Stats()
 	if st.Writes != 1 || st.Reads != 1 {
@@ -223,11 +239,6 @@ func TestServerStats(t *testing.T) {
 	if st.Kind != device.HDD {
 		t.Errorf("Kind = %v", st.Kind)
 	}
-	s.ResetStats()
-	st = s.Stats()
-	if st.Reads != 0 || st.WriteBytes != 0 {
-		t.Error("ResetStats did not clear counters")
-	}
 }
 
 func TestSSDServerFasterThanHDD(t *testing.T) {
@@ -240,5 +251,27 @@ func TestSSDServerFasterThanHDD(t *testing.T) {
 	n := int64(256 << 10)
 	if !(ssd.ServiceTime(trace.OpRead, n) < h.ServiceTime(trace.OpRead, n)) {
 		t.Error("SServer should service the same sub-request faster than HServer")
+	}
+}
+
+// TestSubmitPayloadMustMatchBytes: a byte-storing server refuses a
+// payload whose length disagrees with the declared byte count; a
+// dataless one ignores the payload entirely.
+func TestSubmitPayloadMustMatchBytes(t *testing.T) {
+	var eng sim.Engine
+	s := newTestServer(t, &eng)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("mismatched payload accepted by a byte-storing server")
+			}
+		}()
+		s.Submit(Sub{Op: trace.OpWrite, Object: "f", Bytes: 8, Payload: make([]byte, 4), Done: doneFunc(nil)})
+	}()
+	s.SetDataless(true)
+	s.Submit(Sub{Op: trace.OpWrite, Object: "f", Bytes: 8, Done: doneFunc(nil)})
+	eng.Run()
+	if st := s.Stats(); st.Writes != 1 || st.WriteBytes != 8 {
+		t.Errorf("dataless stats = %+v, want one 8-byte write", st)
 	}
 }

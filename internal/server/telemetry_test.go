@@ -15,8 +15,8 @@ func TestServerTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s.SetTelemetry(reg)
 
-	s.SubmitWrite("f", 0, make([]byte, 1000), nil)
-	s.SubmitRead("f", 0, make([]byte, 400), nil)
+	submit(s, trace.OpWrite, 0, make([]byte, 1000), nil)
+	submit(s, trace.OpRead, 0, make([]byte, 400), nil)
 	eng.Run()
 
 	srv := telemetry.L("server", "h0")
@@ -50,7 +50,7 @@ func TestServerTelemetry(t *testing.T) {
 
 	// Detaching stops emission without disturbing recorded series.
 	s.SetTelemetry(nil)
-	s.SubmitWrite("f", 0, make([]byte, 100), nil)
+	submit(s, trace.OpWrite, 0, make([]byte, 100), nil)
 	eng.Run()
 	if got := reg.Counter(MetricOps, srv, telemetry.L("op", "write")).Value(); got != 1 {
 		t.Errorf("detached server still emitted: write ops = %v", got)

@@ -102,14 +102,6 @@ func (r *Resource) BusyTime() float64 { return r.busyTime }
 // Served returns the number of completed requests.
 func (r *Resource) Served() uint64 { return r.served }
 
-// Utilization returns busyTime / elapsed for a given makespan.
-func (r *Resource) Utilization(makespan float64) float64 {
-	if makespan <= 0 {
-		return 0
-	}
-	return r.busyTime / makespan
-}
-
 // Barrier waits for n completions and then invokes fn once. It is the
 // simulation analogue of MPI_Barrier / waiting for all sub-requests of a
 // striped request.

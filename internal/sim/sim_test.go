@@ -152,12 +152,6 @@ func TestResourceFIFO(t *testing.T) {
 	if math.Abs(r.BusyTime()-3.0) > 1e-12 {
 		t.Errorf("BusyTime = %v", r.BusyTime())
 	}
-	if got := r.Utilization(6.0); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Utilization = %v, want 0.5", got)
-	}
-	if r.Utilization(0) != 0 {
-		t.Error("Utilization with zero makespan should be 0")
-	}
 }
 
 func TestResourceIdleGap(t *testing.T) {
