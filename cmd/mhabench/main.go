@@ -4,7 +4,8 @@
 // Usage:
 //
 //	mhabench [-fig all|3|7|8|9|10|11|12a|12b|13a|13b|14|meta]
-//	         [-scale N|paper|xl] [-h N] [-s N] [-workers N] [-csv] [-json[=FILE]]
+//	         [-scale N|paper|xl] [-hservers N] [-sservers N] [-workers N]
+//	         [-csv] [-json[=FILE]]
 //	         [-plan-cache mem|dir|off] [-plan-cache-dir DIR]
 //	         [-telemetry] [-telemetry-format json|prom]
 //	         [-cpuprofile FILE] [-memprofile FILE]
@@ -18,15 +19,16 @@
 // -scale selects the workload tier: a number divides the paper's workload
 // volumes (default 64; 1 reproduces the full 16 GB runs; "paper" is an
 // alias for 64), and "xl" runs the XL simulation tier instead of the
-// paper figures — many server groups (-xl-groups of -h/-s servers each,
-// 16×8 = 128 by default), many concurrent apps, ≥10⁶ requests on dataless
-// clusters, driven through the sharded engine (-shards, -workers) with
-// sub-request batching (-batch). The XL table on stdout is deterministic
-// at every shard/worker count; the wall-clock throughput goes to stderr,
-// and -min-events-per-sec turns it into a CI floor (exit 1 when slower).
-// -h/-s override the default 6 HServer : 2 SServer cluster (per group in
-// the XL tier). -workers bounds the harness fan-out (independent scheme ×
-// figure cells and planner-internal stripe searches run concurrently;
+// paper figures — many server groups (-xl-groups of -hservers/-sservers
+// servers each, 16×8 = 128 by default), many concurrent apps, ≥10⁶
+// requests on dataless clusters, driven through the sharded engine
+// (-shards, -workers) with sub-request batching (-batch). The XL table on
+// stdout is deterministic at every shard/worker count; the wall-clock
+// throughput goes to stderr, and -min-events-per-sec turns it into a CI
+// floor (exit 1 when slower). -hservers/-sservers override the default
+// 6 HServer : 2 SServer cluster (per group in the XL tier); -h prints
+// usage. -workers bounds the harness fan-out (independent scheme × figure
+// cells and planner-internal stripe searches run concurrently;
 // default 0 uses GOMAXPROCS, 1 is fully serial) — output is byte-identical
 // at every worker count. -csv emits CSV instead of aligned text. -json
 // additionally writes every generated table — plus the per-scheme
@@ -111,8 +113,6 @@ func main() {
 	var (
 		fig       = flag.String("fig", "all", "figure to regenerate (all, 3, 7, 8, 9, 10, 11, 12a, 12b, 13a, 13b, 14, meta, ablation-step, ablation-k, ablation-conc, scaling, extended)")
 		scale     = flag.String("scale", "64", "workload tier: a divisor of the paper volumes, \"paper\" (= 64), or \"xl\" for the XL simulation tier")
-		hSrv      = flag.Int("h", 6, "number of HServers (HDD-backed)")
-		sSrv      = flag.Int("s", 2, "number of SServers (SSD-backed)")
 		workers   = cliflags.Workers(flag.CommandLine)
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonOut   = optFile{def: "BENCH_pipeline.json"}
@@ -122,7 +122,7 @@ func main() {
 		faults    = flag.String("faults", "", "run the resilience figure under this seeded fault scenario (none, straggler, flaky, outage, or all) instead of the paper figures")
 		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault scenario's pseudo-random window placement")
 		adaptiveF = flag.Bool("adaptive", false, "run the adaptive-scheduling figure (static vs +SASIO per scheme) under the -faults scenarios (default all) instead of the paper figures")
-		xlGroups  = flag.Int("xl-groups", 16, "XL tier: server groups (each -h HServers + -s SServers)")
+		xlGroups  = flag.Int("xl-groups", 16, "XL tier: server groups (each -hservers HServers + -sservers SServers)")
 		xlApps    = flag.Int("xl-apps", 4, "XL tier: concurrent apps per group")
 		xlProcs   = flag.Int("xl-procs", 32, "XL tier: ranks per app")
 		xlReqs    = flag.Int("xl-requests", 1_000_000, "XL tier: total request count")
@@ -136,6 +136,7 @@ func main() {
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
+	hSrv, sSrv := cliflags.Servers(flag.CommandLine)
 	flag.Var(&jsonOut, "json", "also write the results as JSON to this file (bare -json writes BENCH_pipeline.json)")
 	flag.Parse()
 

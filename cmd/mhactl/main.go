@@ -8,7 +8,8 @@
 //	mhactl epochs -trace t.txt             concurrency epochs
 //	mhactl group  -trace t.txt [-k 16]     Algorithm 1 request grouping
 //	mhactl sig    -trace t.txt             per-stream I/O signatures
-//	mhactl plan   -trace t.txt -scheme MHA [-h 6 -s 2] show the plan
+//	mhactl plan   -trace t.txt -scheme MHA [-hservers 6 -sservers 2]
+//	              show the plan
 //	mhactl replay -trace t.txt -scheme MHA [-telemetry] simulate a replay
 //	              [-faults none|straggler|flaky|outage] [-fault-seed N]
 //	              inject a seeded fault scenario with resilience enabled
@@ -61,8 +62,7 @@ func main() {
 	tracePath := fs.String("trace", "", "trace file (text format)")
 	db := fs.String("db", "", "table database path (drt/rst)")
 	schemeStr := fs.String("scheme", "MHA", "layout scheme for plan")
-	hSrv := fs.Int("h", 6, "HServers")
-	sSrv := fs.Int("s", 2, "SServers")
+	hSrv, sSrv := cliflags.Servers(fs)
 	k := fs.Int("k", 16, "maximum group count")
 	workers := cliflags.Workers(fs)
 	window := fs.Float64("window", pattern.DefaultEpochWindow, "concurrency window (s)")

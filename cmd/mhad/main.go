@@ -8,7 +8,7 @@
 //	mhad -script jobs.script [-slots N] [-workers N]
 //	     [-plan-cache mem|dir|off] [-plan-cache-dir DIR] [-ledger-dir DIR]
 //	     [-plan-base S] [-plan-per-record S] [-retry-max N] [-retry-backoff S]
-//	     [-h N] [-s N] [-telemetry] [-telemetry-format json|prom]
+//	     [-hservers N] [-sservers N] [-telemetry] [-telemetry-format json|prom]
 //
 // The script grammar (one op per line, '#' comments):
 //
@@ -45,8 +45,7 @@ func main() {
 	planPerRecord := fs.Float64("plan-per-record", 0.0009765625, "virtual planning duration per trace record (s)")
 	retryMax := fs.Int("retry-max", 2, "retries before a planner error fails the job")
 	retryBackoff := fs.Float64("retry-backoff", 0.5, "first retry delay (s), doubling per attempt")
-	hSrv := fs.Int("h", 6, "HServers in the planning environment")
-	sSrv := fs.Int("s", 2, "SServers in the planning environment")
+	hSrv, sSrv := cliflags.Servers(fs)
 	telem := fs.Bool("telemetry", false, "emit the telemetry snapshot to stdout after the state dump")
 	telFormat := fs.String("telemetry-format", "json", "telemetry snapshot format: json (canonical) or prom (Prometheus text)")
 	if err := fs.Parse(os.Args[1:]); err != nil {

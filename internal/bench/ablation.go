@@ -128,9 +128,10 @@ func (c Config) ConcurrencyAblation() ([]AblationRow, *metrics.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Replay the REAL (concurrent) workload timing against the blind plan
-	// is what RunScheme already did internally for blind — but its replay
-	// used the squashed trace, whose per-rank order matches the original.
+	// The blind run replays the squashed trace, not the original. In the
+	// default Independent mode that is the same replay: time stamps are
+	// ignored and the squash keeps every rank's record order, so only the
+	// plan differs.
 	rows = append(rows, AblationRow{
 		Variant: "concurrency-blind", Bandwidth: blindRun.Result.Bandwidth(),
 		Regions: len(blindRun.Plan.Regions),

@@ -23,6 +23,7 @@ import (
 	"mhafs/internal/parfan"
 	"mhafs/internal/pfs"
 	"mhafs/internal/plancache"
+	"mhafs/internal/region"
 	"mhafs/internal/reorder"
 	"mhafs/internal/replay"
 	"mhafs/internal/telemetry"
@@ -168,28 +169,36 @@ func (c Config) runScheme(scheme layout.Scheme, tr trace.Trace, opts replay.Opti
 		// the caller pinned it explicitly.
 		c.Env.Workers = c.Workers
 	}
+	plan, err := c.plan(scheme, tr)
+	if err != nil {
+		return SchemeRun{}, err
+	}
+	res, err := c.replayPlan(plan, tr, opts)
+	if err != nil {
+		return SchemeRun{}, err
+	}
+	return SchemeRun{Scheme: scheme, Result: res, Plan: plan}, nil
+}
+
+// replayPlan is the harness's one run assembly. It builds a fresh cluster
+// holding the trace's files under the default layout (they exist from
+// the application's first, profiled run), applies plan, wires the
+// middleware — telemetry, faults, adaptive scheduling and the plan
+// scheme's redirector — and replays tr as the optimized subsequent run.
+// An empty plan creates no region and no mapping.
+func (c Config) replayPlan(plan layout.Plan, tr trace.Trace, opts replay.Options) (replay.Result, error) {
 	cluster, err := pfs.New(c.Cluster)
 	if err != nil {
-		return SchemeRun{}, err
+		return replay.Result{}, err
 	}
-	// The original files exist from the application's first (profiled)
-	// run, striped with the default layout.
 	for _, f := range tr.Files() {
 		if _, err := cluster.CreateDefault(f); err != nil {
-			return SchemeRun{}, err
+			return replay.Result{}, err
 		}
-	}
-	planner, err := layout.NewPlanner(scheme)
-	if err != nil {
-		return SchemeRun{}, err
-	}
-	plan, err := c.plan(planner, scheme, tr)
-	if err != nil {
-		return SchemeRun{}, err
 	}
 	placement, err := reorder.Apply(cluster, plan, reorder.Options{})
 	if err != nil {
-		return SchemeRun{}, err
+		return replay.Result{}, err
 	}
 	defer placement.Close()
 
@@ -199,69 +208,57 @@ func (c Config) runScheme(scheme layout.Scheme, tr trace.Trace, opts replay.Opti
 		// registry and the DRT counters are wired too.
 		mw.EnableTelemetry(c.Telemetry)
 	}
-	if c.Faults != "" {
-		seed := c.FaultSeed
-		if seed == 0 {
-			seed = 1
-		}
-		sched, err := c.Faults.Build(c.Cluster.HServers, c.Cluster.SServers, seed)
-		if err != nil {
-			return SchemeRun{}, err
-		}
-		in, err := fault.NewInjector(cluster.Eng, sched)
-		if err != nil {
-			return SchemeRun{}, err
-		}
-		if err := mw.EnableResilience(mpiio.ResilienceOptions{
-			Injector: in,
-			RST:      placement.RST,
-		}); err != nil {
-			return SchemeRun{}, err
-		}
+	if err := enableFaults(mw, c.Faults, c.FaultSeed, 0, placement.RST); err != nil {
+		return replay.Result{}, err
 	}
 	if c.Adaptive {
 		if err := mw.EnableAdaptive(mpiio.AdaptiveOptions{
 			Policy: c.AdaptivePolicy,
 			RST:    placement.RST,
 		}); err != nil {
-			return SchemeRun{}, err
+			return replay.Result{}, err
 		}
 	}
-	switch scheme {
-	case layout.DEF:
-		// The baseline runs without any redirection machinery.
-	case layout.MHA:
-		mw.SetRedirector(reorder.NewRedirector(placement.DRT, c.RedirectLookup))
-	default:
-		// AAL and HARL restripe in place in the paper; route through the
-		// DRT for mechanics but charge no lookup.
-		mw.SetRedirector(reorder.NewRedirector(placement.DRT, 0))
-	}
-	res, err := replay.RunWith(mw, tr, opts)
-	if err != nil {
-		return SchemeRun{}, err
-	}
-	return SchemeRun{Scheme: scheme, Result: res, Plan: plan}, nil
+	mw.SetRedirector(reorder.SchemeRedirector(plan.Scheme, placement.DRT, c.RedirectLookup))
+	return replay.RunWith(mw, tr, opts)
 }
 
-// plan produces the scheme's plan, through the plan cache when one is
-// configured. Search-effort counters (candidates tried / pruned,
+// enableFaults injects the seeded scenario into mw's cluster and turns on
+// the client's resilience stages; the empty scenario installs nothing.
+// The schedule is seeded with seed+group, where seed 0 means 1; rst, when
+// non-nil, receives the layouts of the failover layer's fallback files.
+func enableFaults(mw *mpiio.Middleware, sc fault.Scenario, seed int64, group int, rst *region.RST) error {
+	if sc == "" {
+		return nil
+	}
+	if seed == 0 {
+		seed = 1
+	}
+	cfg := mw.Cluster.Config()
+	sched, err := sc.Build(cfg.HServers, cfg.SServers, seed+int64(group))
+	if err != nil {
+		return err
+	}
+	in, err := fault.NewInjector(mw.Cluster.Eng, sched)
+	if err != nil {
+		return err
+	}
+	return mw.EnableResilience(mpiio.ResilienceOptions{Injector: in, RST: rst})
+}
+
+// plan produces the scheme's plan through the plan cache (a nil cache
+// plans directly). Search-effort counters (candidates tried / pruned,
 // aggregated in layout.SearchStats) are emitted once per planner call
 // whether the plan was computed or served — the stats travel inside the
 // cached Plan, so every cell reports the same numbers and the merged
 // totals are byte-identical with the cache off, in memory, on disk, or
 // pre-warmed, at every worker count.
-func (c Config) plan(planner layout.Planner, scheme layout.Scheme, tr trace.Trace) (layout.Plan, error) {
-	var plan layout.Plan
-	var err error
-	if c.PlanCache != nil {
-		plan, _, err = c.PlanCache.GetOrPlan(
-			plancache.KeyFor(tr, scheme, c.Env),
-			func() (layout.Plan, error) { return planner.Plan(tr, c.Env) },
-		)
-	} else {
-		plan, err = planner.Plan(tr, c.Env)
+func (c Config) plan(scheme layout.Scheme, tr trace.Trace) (layout.Plan, error) {
+	planner, err := layout.NewPlanner(scheme)
+	if err != nil {
+		return layout.Plan{}, err
 	}
+	plan, err := plancache.Wrap(planner, c.PlanCache).Plan(tr, c.Env)
 	if err != nil {
 		return layout.Plan{}, err
 	}

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -293,6 +295,38 @@ func TestFig14Shapes(t *testing.T) {
 		if r.RedirectBW > r.BaseBW*1.01 {
 			t.Errorf("procs %d: redirection increased bandwidth by >1%%", r.Procs)
 		}
+	}
+}
+
+// TestFig14MatchesGolden pins Fig. 14, which replays empty DEF and MHA
+// plans through the harness's run assembly, to the committed figure
+// golden byte for byte.
+func TestFig14MatchesGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "figures_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const title = "Fig. 14:"
+	i := bytes.Index(golden, []byte(title))
+	if i < 0 {
+		t.Fatalf("no %q block in figures_golden.txt", title)
+	}
+	want := golden[i:]
+	if j := bytes.Index(want, []byte("\n\n")); j >= 0 {
+		want = want[:j+1]
+	}
+	c := Default()
+	c.Workers = 1
+	_, tb, err := c.Fig14()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := tb.Fprint(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("Fig. 14 differs from figures_golden.txt:\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }
 

@@ -5,9 +5,6 @@ import (
 
 	"mhafs/internal/layout"
 	"mhafs/internal/metrics"
-	"mhafs/internal/mpiio"
-	"mhafs/internal/pfs"
-	"mhafs/internal/reorder"
 	"mhafs/internal/replay"
 	"mhafs/internal/trace"
 	"mhafs/internal/units"
@@ -26,10 +23,10 @@ type Fig14Row struct {
 var fig14Procs = []int{8, 32, 128}
 
 // Fig14 reproduces the redirection-overhead measurement: IOR with mixed
-// 4 KB and 64 KB requests is replayed twice — once directly, once through
-// a redirector whose DRT is intentionally empty so every request is
-// redirected back to the original I/O system. The difference is pure
-// middleware overhead.
+// 4 KB and 64 KB requests is replayed twice — under an empty DEF plan
+// (no redirection), then under an empty MHA plan, whose redirector
+// consults an empty DRT so every request is redirected back to the
+// original I/O system. The difference is pure middleware overhead.
 func (c Config) Fig14() ([]Fig14Row, *metrics.Table, error) {
 	if err := c.Validate(); err != nil {
 		return nil, nil, err
@@ -40,11 +37,12 @@ func (c Config) Fig14() ([]Fig14Row, *metrics.Table, error) {
 		if err != nil {
 			return Fig14Row{}, err
 		}
-		base, err := cc.replayPlain(tr, false)
+		opts := replay.Options{Mode: cc.ReplayMode}
+		base, err := cc.replayPlan(layout.Plan{Scheme: layout.DEF}, tr, opts)
 		if err != nil {
 			return Fig14Row{}, err
 		}
-		redir, err := cc.replayPlain(tr, true)
+		redir, err := cc.replayPlan(layout.Plan{Scheme: layout.MHA}, tr, opts)
 		if err != nil {
 			return Fig14Row{}, err
 		}
@@ -79,30 +77,6 @@ func workloadFig14(c Config, procs int) (trace.Trace, error) {
 		FileSize: c.scaled(fig7FileSize) / 4,
 		Shuffle:  true, Seed: 14,
 	})
-}
-
-// replayPlain runs a trace on a fresh cluster, optionally through an
-// identity redirector (empty DRT) charging the configured lookup time.
-func (c Config) replayPlain(tr trace.Trace, redirect bool) (replay.Result, error) {
-	cluster, err := pfs.New(c.Cluster)
-	if err != nil {
-		return replay.Result{}, err
-	}
-	for _, f := range tr.Files() {
-		if _, err := cluster.CreateDefault(f); err != nil {
-			return replay.Result{}, err
-		}
-	}
-	mw := mpiio.New(cluster)
-	if redirect {
-		placement, err := reorder.Apply(cluster, layout.Plan{Scheme: layout.MHA}, reorder.Options{})
-		if err != nil {
-			return replay.Result{}, err
-		}
-		defer placement.Close()
-		mw.SetRedirector(reorder.NewRedirector(placement.DRT, c.RedirectLookup))
-	}
-	return replay.RunWith(mw, tr, replay.Options{Mode: c.ReplayMode})
 }
 
 // MetaOverheadRow is the analytic meta-data space computation of §V-E2.

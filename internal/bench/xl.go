@@ -197,22 +197,8 @@ func RunXL(cfg XLConfig) (XLResult, error) {
 				return XLResult{}, err
 			}
 		}
-		if cfg.Faults != "" {
-			seed := cfg.FaultSeed
-			if seed == 0 {
-				seed = 1
-			}
-			sched, err := cfg.Faults.Build(cfg.HPerGroup, cfg.SPerGroup, seed+int64(g))
-			if err != nil {
-				return XLResult{}, err
-			}
-			in, err := fault.NewInjector(cluster.Eng, sched)
-			if err != nil {
-				return XLResult{}, err
-			}
-			if err := mw.EnableResilience(mpiio.ResilienceOptions{Injector: in}); err != nil {
-				return XLResult{}, err
-			}
+		if err := enableFaults(mw, cfg.Faults, cfg.FaultSeed, g, nil); err != nil {
+			return XLResult{}, err
 		}
 		var tr trace.Trace
 		for a := 0; a < cfg.AppsPerGroup; a++ {

@@ -1,7 +1,7 @@
 // Package cliflags defines the flags every mhafs command shares, so
-// -workers and the plan-cache trio read identically across mhabench,
-// mhactl and mhad: one help string, one default, one wiring into
-// plancache.FromMode.
+// -workers, the server counts and the plan-cache pair read identically
+// across mhabench, mhactl and mhad: one help string, one default, one
+// wiring into plancache.FromMode.
 package cliflags
 
 import (
@@ -16,6 +16,14 @@ import (
 func Workers(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 0,
 		"worker-pool size (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
+}
+
+// Servers registers the shared -hservers/-sservers pair on fs: the
+// HServer and SServer counts of the paper's default 6:2 cluster. The
+// names leave -h to the flag package, which prints usage.
+func Servers(fs *flag.FlagSet) (h, s *int) {
+	return fs.Int("hservers", 6, "number of HServers (HDD-backed)"),
+		fs.Int("sservers", 2, "number of SServers (SSD-backed)")
 }
 
 // PlanCacheFlags holds the registered plan-cache flag pair.

@@ -65,3 +65,19 @@ func TestHelpTextUnified(t *testing.T) {
 		}
 	}
 }
+
+// TestServers: the paper's 6:2 default, parsing, and -h left to help.
+func TestServers(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	h, s := Servers(fs)
+	if err := fs.Parse([]string{"-sservers", "4"}); err != nil || *h != 6 || *s != 4 {
+		t.Fatalf("parsed %d:%d (%v), want 6:4", *h, *s, err)
+	}
+	fs = flag.NewFlagSet("x", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Servers(fs)
+	if err := fs.Parse([]string{"-h"}); err != flag.ErrHelp {
+		t.Fatalf("-h: %v, want flag.ErrHelp", err)
+	}
+}

@@ -146,9 +146,6 @@ func TestInjectorDecisions(t *testing.T) {
 	if got := in.Recovery("s0", 1.2); got != 1.2 {
 		t.Errorf("Recovery after the outage = %v, want 1.2", got)
 	}
-	if got := in.MaxEnd(); got != 3 {
-		t.Errorf("MaxEnd = %v, want 3", got)
-	}
 }
 
 // TestRecoveryChainedOutages pins that back-to-back outage windows are

@@ -2,7 +2,6 @@ package fault
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"mhafs/internal/sim"
@@ -208,21 +207,4 @@ func (in *Injector) Arm() {
 			in.eng.At(w.Start, open)
 		}
 	}
-}
-
-// Armed reports whether Arm has run.
-func (in *Injector) Armed() bool { return in.armed }
-
-// MaxEnd returns the latest finite window end (0 when the schedule is
-// empty or all windows are unbounded) — handy for sizing test runs.
-func (in *Injector) MaxEnd() float64 {
-	var end float64
-	for _, ws := range in.byServer {
-		for _, w := range ws {
-			if !math.IsInf(w.End, 1) && w.End > end {
-				end = w.End
-			}
-		}
-	}
-	return end
 }

@@ -7,11 +7,6 @@ import (
 
 // Telemetry series emitted on the request path.
 const (
-	// MetricStageHandle aggregates the synchronous enter→exit span of each
-	// stage's Handle (zero against the virtual clock, where stages forward
-	// synchronously; meaningful against a wall clock when profiling the
-	// implementation).
-	MetricStageHandle = "iopath_stage_handle_seconds"
 	// MetricStageSpan aggregates the enter→completion span of each stage:
 	// how long requests that entered the stage took to fully complete,
 	// measured on the clock the timer was built with.
@@ -30,19 +25,13 @@ const (
 	MetricRequestLatency = "iopath_request_latency_seconds"
 )
 
-// StageTimer implements Observer, recording per-stage spans and request
-// counts into a telemetry registry. Two spans are kept per stage: the
-// synchronous Handle span (enter→exit) and the full span
-// (enter→completion), both measured on the injected clock — the
-// simulation engine for deterministic virtual-time telemetry, a
-// wallclock.Clock when profiling the implementation.
+// StageTimer implements Observer, recording per-stage request counts and
+// the enter→completion span of each stage into a telemetry registry,
+// measured on the injected clock — the simulation engine for
+// deterministic virtual-time telemetry.
 type StageTimer struct {
 	reg   *telemetry.Registry
 	clock telemetry.Clock
-
-	// starts is the enter-time stack of the properly nested dispatch
-	// recursion; it is only touched under the pipeline's submission lock.
-	starts []float64
 }
 
 // NewStageTimer creates a stage timer emitting into reg against clock.
@@ -62,7 +51,6 @@ func NewStageTimer(reg *telemetry.Registry, clock telemetry.Clock) *StageTimer {
 //mhavet:coldpath profiling interceptor, installed on demand
 func (t *StageTimer) StageEnter(stage string, req *Request) {
 	now := t.clock.Now()
-	t.starts = append(t.starts, now)
 	t.reg.Counter(MetricStageRequests, telemetry.L("stage", stage)).Inc()
 
 	span := t.reg.Span(MetricStageSpan, telemetry.L("stage", stage))
@@ -79,19 +67,9 @@ func (t *StageTimer) StageEnter(stage string, req *Request) {
 	}
 }
 
-// StageExit closes the synchronous Handle span opened by the matching
-// StageEnter.
-//
-//mhavet:coldpath profiling interceptor, installed on demand
-func (t *StageTimer) StageExit(stage string, req *Request) {
-	n := len(t.starts)
-	if n == 0 {
-		return // unmatched exit: observer installed mid-dispatch
-	}
-	start := t.starts[n-1]
-	t.starts = t.starts[:n-1]
-	t.reg.Span(MetricStageHandle, telemetry.L("stage", stage)).Observe(t.clock.Now() - start)
-}
+// StageExit is a no-op: stages forward synchronously, so the enter→exit
+// span reads zero on the virtual clock the timer runs on.
+func (t *StageTimer) StageExit(stage string, req *Request) {}
 
 // Meter is an interceptor stage recording application-level request
 // counters and histograms: operations by type, request sizes, and

@@ -49,28 +49,6 @@ func BusyTimes(stats []server.Stats) []float64 {
 	return out
 }
 
-// NormalizeToMin scales values so the smallest positive value becomes 1 —
-// the normalization of the paper's Fig. 8. Zero and negative entries stay
-// 0.
-func NormalizeToMin(vals []float64) []float64 {
-	min := 0.0
-	for _, v := range vals {
-		if v > 0 && (min == 0 || v < min) {
-			min = v
-		}
-	}
-	out := make([]float64, len(vals))
-	if min == 0 {
-		return out
-	}
-	for i, v := range vals {
-		if v > 0 {
-			out[i] = v / min
-		}
-	}
-	return out
-}
-
 // LoadImbalance returns max/min over the positive entries (1.0 = perfectly
 // even). It returns 0 if fewer than two servers did work.
 func LoadImbalance(vals []float64) float64 {

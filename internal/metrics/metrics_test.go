@@ -38,8 +38,7 @@ func TestDiffStatsEdges(t *testing.T) {
 			[]server.Stats{{Name: "b"}, {Name: "a"}},
 		)
 	})
-	// An interval with no activity diffs to all-zero rows, and those
-	// zeros normalize to zero rather than dividing by a zero minimum.
+	// An interval with no activity diffs to all-zero rows.
 	snap := []server.Stats{{Name: "h0", BusyTime: 1.5}, {Name: "h1", BusyTime: 2.5}}
 	d := DiffStats(snap, snap)
 	for i, s := range d {
@@ -47,48 +46,12 @@ func TestDiffStatsEdges(t *testing.T) {
 			t.Errorf("idle interval row %d = %+v", i, s)
 		}
 	}
-	for i, v := range NormalizeToMin(BusyTimes(d)) {
-		if v != 0 {
-			t.Errorf("normalized idle busy[%d] = %v, want 0", i, v)
-		}
-	}
-}
-
-func TestNormalizeToMinEdges(t *testing.T) {
-	if got := NormalizeToMin(nil); len(got) != 0 {
-		t.Errorf("nil input = %v", got)
-	}
-	// Negative entries are treated like zeros: never the minimum, never
-	// scaled.
-	got := NormalizeToMin([]float64{-3, 2, 4})
-	want := []float64{0, 1, 2}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("with negatives [%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if got := NormalizeToMin([]float64{0, 5, 0}); got[1] != 1 || got[0] != 0 || got[2] != 0 {
-		t.Errorf("single positive = %v, want [0 1 0]", got)
-	}
 }
 
 func TestBusyTimes(t *testing.T) {
 	got := BusyTimes([]server.Stats{{BusyTime: 1}, {BusyTime: 2}})
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("BusyTimes = %v", got)
-	}
-}
-
-func TestNormalizeToMin(t *testing.T) {
-	got := NormalizeToMin([]float64{2, 4, 0, 6})
-	want := []float64{1, 2, 0, 3}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("NormalizeToMin[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if got := NormalizeToMin([]float64{0, 0}); got[0] != 0 || got[1] != 0 {
-		t.Error("all-zero normalization should stay zero")
 	}
 }
 

@@ -125,13 +125,3 @@ type SizeCount struct {
 	Size  int64
 	Count int
 }
-
-// DistinctSizes returns the number of distinct request sizes — a quick
-// heterogeneity measure used to bound the group count k.
-func DistinctSizes(t trace.Trace) int {
-	seen := make(map[int64]bool)
-	for _, r := range t {
-		seen[r.Size] = true
-	}
-	return len(seen)
-}

@@ -126,12 +126,3 @@ func TestSizeHistogram(t *testing.T) {
 		t.Errorf("histogram = %v, want %v", h, want)
 	}
 }
-
-func TestDistinctSizes(t *testing.T) {
-	if got := DistinctSizes(phaseTrace()); got != 2 {
-		t.Errorf("DistinctSizes = %d, want 2", got)
-	}
-	if got := DistinctSizes(nil); got != 0 {
-		t.Errorf("DistinctSizes(nil) = %d", got)
-	}
-}

@@ -311,9 +311,10 @@ type cachedPlanner struct {
 }
 
 // Wrap returns p with every Plan call memoized through c; a nil cache
-// returns p unchanged. Use Wrap where the caller does not need the
-// Outcome (e.g. mhafs.System re-planning); harnesses that attribute
-// telemetry to the computing call use GetOrPlan directly.
+// returns p unchanged. It is the entry point for every caller that keys
+// by trace content and does not need the Outcome: the bench harness,
+// mhafs.System and mhactl plan. The plan service, which keys jobs by
+// their descriptor, uses GetOrPlan directly.
 func Wrap(p layout.Planner, c *Cache) layout.Planner {
 	if c == nil {
 		return p

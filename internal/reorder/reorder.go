@@ -283,6 +283,21 @@ func NewRedirector(drt *region.DRT, lookupTime float64) *Redirector {
 	return &Redirector{drt: drt, LookupTime: lookupTime}
 }
 
+// SchemeRedirector is the paper's redirection rule for a layout scheme:
+// DEF runs without redirection (nil), MHA charges lookup per DRT
+// consultation, and AAL and HARL, which restripe in place in the paper,
+// route through the DRT for mechanics but charge no lookup.
+func SchemeRedirector(scheme layout.Scheme, drt *region.DRT, lookup float64) *Redirector {
+	switch scheme {
+	case layout.DEF:
+		return nil
+	case layout.MHA:
+		return NewRedirector(drt, lookup)
+	default:
+		return NewRedirector(drt, 0)
+	}
+}
+
 // Resolve translates the extent to its current locations.
 func (r *Redirector) Resolve(file string, off, n int64) []region.Target {
 	r.lookups++

@@ -267,3 +267,31 @@ func TestRedirectorPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestSchemeRedirector pins the paper's per-scheme redirection rule: DEF
+// runs unredirected, MHA pays the DRT lookup, AAL and HARL restripe in
+// place and pay nothing.
+func TestSchemeRedirector(t *testing.T) {
+	drt, _ := region.OpenDRT("")
+	defer drt.Close()
+	const lookup = 3e-6
+	for _, tc := range []struct {
+		scheme layout.Scheme
+		nilRed bool
+		charge float64
+	}{
+		{layout.DEF, true, 0},
+		{layout.AAL, false, 0},
+		{layout.HARL, false, 0},
+		{layout.MHA, false, lookup},
+	} {
+		r := SchemeRedirector(tc.scheme, drt, lookup)
+		if (r == nil) != tc.nilRed {
+			t.Errorf("%v: redirector %v, want nil=%v", tc.scheme, r, tc.nilRed)
+			continue
+		}
+		if r != nil && r.LookupTime != tc.charge {
+			t.Errorf("%v: lookup charge %v, want %v", tc.scheme, r.LookupTime, tc.charge)
+		}
+	}
+}

@@ -138,17 +138,6 @@ func (l *Ledger) Append(e Entry) error {
 // must not mutate it.
 func (l *Ledger) Entries() []Entry { return l.entries }
 
-// TenantEntries returns the tenant's entries in seq order.
-func (l *Ledger) TenantEntries(tenant string) []Entry {
-	var out []Entry
-	for _, e := range l.entries {
-		if e.Tenant == tenant {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Duplicates returns the tenant's duplicate submissions in seq order —
 // the "who keeps re-triggering this?" query.
 func (l *Ledger) Duplicates(tenant string) []Entry {

@@ -49,9 +49,6 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if dups := l2.Duplicates("umbrella"); len(dups) != 0 {
 		t.Errorf("Duplicates(umbrella) = %+v, want none", dups)
 	}
-	if te := l2.TenantEntries("acme"); len(te) != 3 {
-		t.Errorf("TenantEntries(acme) = %d rows, want 3", len(te))
-	}
 }
 
 // TestLedgerMemoryOnly: an empty dir keeps everything in memory and

@@ -245,17 +245,3 @@ func (e *Engine) peek() (time float64, seq uint64, ok bool) {
 	}
 	return e.events[0].time, e.events[0].seq, true
 }
-
-// RunUntil executes events with time ≤ deadline; the clock never exceeds
-// the deadline. It returns the number of events executed.
-func (e *Engine) RunUntil(deadline float64) int {
-	n := 0
-	for len(e.events) > 0 && e.events[0].time <= deadline {
-		e.Step()
-		n++
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return n
-}

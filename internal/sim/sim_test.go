@@ -83,26 +83,6 @@ func TestSchedulePanics(t *testing.T) {
 	mustPanic(t, "past time", func() { e.At(1, func() {}) })
 }
 
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	var fired []float64
-	for _, d := range []float64{1, 2, 3, 4} {
-		d := d
-		e.Schedule(d, func() { fired = append(fired, d) })
-	}
-	n := e.RunUntil(2.5)
-	if n != 2 || len(fired) != 2 {
-		t.Errorf("RunUntil fired %d events (%v), want 2", n, fired)
-	}
-	if e.Now() != 2.5 {
-		t.Errorf("clock = %v, want 2.5 after RunUntil", e.Now())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Errorf("remaining events lost: %v", fired)
-	}
-}
-
 func TestFiredCounter(t *testing.T) {
 	var e Engine
 	for i := 0; i < 5; i++ {

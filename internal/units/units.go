@@ -130,16 +130,6 @@ func unitMultiplier(unit string) (int64, error) {
 	}
 }
 
-// MustParseBytes is ParseBytes for compile-time-constant inputs; it panics
-// on error and is intended for tests and default tables.
-func MustParseBytes(s string) Bytes {
-	b, err := ParseBytes(s)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // SecPerByte expresses a transfer speed as seconds per byte, the unit of the
 // cost model's β and t parameters. It is the reciprocal of a bandwidth.
 type SecPerByte float64
@@ -230,15 +220,4 @@ func Max(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// Clamp restricts v to [lo, hi].
-func Clamp(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

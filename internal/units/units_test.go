@@ -286,9 +286,6 @@ func TestMinMaxClamp(t *testing.T) {
 	if Max(3, 5) != 5 || Max(5, 3) != 5 {
 		t.Error("Max wrong")
 	}
-	if Clamp(10, 0, 5) != 5 || Clamp(-1, 0, 5) != 0 || Clamp(3, 0, 5) != 3 {
-		t.Error("Clamp wrong")
-	}
 }
 
 func ExampleParseBytes() {

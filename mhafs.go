@@ -255,15 +255,7 @@ func (s *System) Optimize(scheme Scheme, tr Trace) error {
 		s.placement.Close()
 	}
 	s.placement = placement
-	lookup := s.cfg.RedirectLookup
-	if scheme != MHA {
-		lookup = 0 // AAL/HARL restripe in place in the paper
-	}
-	if scheme != DEF {
-		s.mw.SetRedirector(reorder.NewRedirector(placement.DRT, lookup))
-	} else {
-		s.mw.SetRedirector(nil)
-	}
+	s.mw.SetRedirector(reorder.SchemeRedirector(scheme, placement.DRT, s.cfg.RedirectLookup))
 	return nil
 }
 
