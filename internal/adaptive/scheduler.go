@@ -152,9 +152,10 @@ func (s *Scheduler) handlePiece(req *iopath.Request, next iopath.Handler, rerout
 	return next(req)
 }
 
-// handleMapped fans a request over its relocation-table translation,
-// exactly like the resilience stage fans over its failover tables: one
-// child per piece, the parent completes with the slowest child.
+// handleMapped fans a request over its relocation-table translation
+// through the same Request.SplitTargets step the resilience stage uses
+// for its failover tables: one child per piece, the parent completes
+// with the slowest child.
 //
 //mhavet:coldpath translation fan-out runs only after a relocation happened
 func (s *Scheduler) handleMapped(req *iopath.Request, next iopath.Handler) error {
@@ -162,22 +163,10 @@ func (s *Scheduler) handleMapped(req *iopath.Request, next iopath.Handler) error
 	if len(targets) == 1 && !targets[0].Mapped {
 		return s.handlePiece(req, next, 0, false)
 	}
-	children := make([]*iopath.Request, 0, len(targets))
-	var cursor int64
-	for _, tg := range targets {
-		f, err := s.files.ResolveFile(tg.File)
-		if err != nil {
-			return err
-		}
-		child := req.Child(tg.File, tg.Offset, req.Data[cursor:cursor+tg.Size])
-		child.Target = f
-		children = append(children, child)
-		cursor += tg.Size
+	children, err := req.SplitTargets(targets, s.files)
+	if err != nil {
+		return err
 	}
-	if cursor != req.Size() {
-		return fmt.Errorf("adaptive: translation covered %d of %d bytes", cursor, req.Size())
-	}
-	req.FanOut(len(children))
 	for _, child := range children {
 		if err := s.handlePiece(child, next, 0, child.File != req.File); err != nil {
 			return err

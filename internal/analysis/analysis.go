@@ -22,7 +22,7 @@
 //   - stagecheck — iopath pipeline invariants: the shared chain snapshot
 //     is immutable, requests are constructed only by the pipeline's
 //     owners, and child requests never alias a parent's completion
-//     callback, annotations or server binding;
+//     callback or server binding;
 //   - poolcheck — pooled iopath request descriptors must pass through
 //     Reset() before Pipeline.put returns them to the free list, in the
 //     same function and before the put;

@@ -21,13 +21,11 @@ var requestOwners = []string{iopathPkg, mpiioPkg}
 
 // aliasFields are the Request fields a derived or copied request must
 // never share with its parent: an aliased OnComplete double-fires the
-// completion callback, an aliased annotations map leaks interceptor
-// state across requests, and an aliased Binding routes two requests to
-// one server-side placement.
+// completion callback, and an aliased Binding routes two requests to one
+// server-side placement.
 var aliasFields = map[string]bool{
-	"OnComplete":  true,
-	"Binding":     true,
-	"annotations": true,
+	"OnComplete": true,
+	"Binding":    true,
 }
 
 // StageCheck enforces the iopath pipeline invariants:
@@ -38,8 +36,8 @@ var aliasFields = map[string]bool{
 //     registration depends on snapshots staying frozen;
 //   - "reqliteral": iopath.Request composite literals are constructed
 //     only by the pipeline and the middleware;
-//   - "alias": request derivation must copy, not alias: OnComplete,
-//     Binding and annotations never flow from one Request into another.
+//   - "alias": request derivation must copy, not alias: OnComplete and
+//     Binding never flow from one Request into another.
 func StageCheck() *Analyzer {
 	const name = "stagecheck"
 	return &Analyzer{

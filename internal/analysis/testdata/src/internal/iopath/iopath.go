@@ -5,10 +5,9 @@ package iopath
 
 // Request mirrors the descriptor's alias-sensitive fields.
 type Request struct {
-	Offset      int64
-	OnComplete  func()
-	Binding     int
-	annotations map[string]string
+	Offset     int64
+	OnComplete func()
+	Binding    int
 }
 
 // Handler and Stage mirror the dispatch signature.

@@ -156,11 +156,6 @@ type SchemeRun struct {
 // plan from the trace (the profiled first run), apply the placement, then
 // replay the trace as the optimized subsequent run.
 func (c Config) RunScheme(scheme layout.Scheme, tr trace.Trace) (SchemeRun, error) {
-	return c.runScheme(scheme, tr, replay.Options{Mode: c.ReplayMode})
-}
-
-// runScheme is RunScheme replaying under explicit options.
-func (c Config) runScheme(scheme layout.Scheme, tr trace.Trace, opts replay.Options) (SchemeRun, error) {
 	if err := c.Validate(); err != nil {
 		return SchemeRun{}, err
 	}
@@ -173,7 +168,7 @@ func (c Config) runScheme(scheme layout.Scheme, tr trace.Trace, opts replay.Opti
 	if err != nil {
 		return SchemeRun{}, err
 	}
-	res, err := c.replayPlan(plan, tr, opts)
+	res, err := c.replayPlan(plan, tr)
 	if err != nil {
 		return SchemeRun{}, err
 	}
@@ -184,9 +179,10 @@ func (c Config) runScheme(scheme layout.Scheme, tr trace.Trace, opts replay.Opti
 // holding the trace's files under the default layout (they exist from
 // the application's first, profiled run), applies plan, wires the
 // middleware — telemetry, faults, adaptive scheduling and the plan
-// scheme's redirector — and replays tr as the optimized subsequent run.
-// An empty plan creates no region and no mapping.
-func (c Config) replayPlan(plan layout.Plan, tr trace.Trace, opts replay.Options) (replay.Result, error) {
+// scheme's redirector — and replays tr as the optimized subsequent run
+// in the configured replay mode. An empty plan creates no region and no
+// mapping.
+func (c Config) replayPlan(plan layout.Plan, tr trace.Trace) (replay.Result, error) {
 	cluster, err := pfs.New(c.Cluster)
 	if err != nil {
 		return replay.Result{}, err
@@ -220,7 +216,7 @@ func (c Config) replayPlan(plan layout.Plan, tr trace.Trace, opts replay.Options
 		}
 	}
 	mw.SetRedirector(reorder.SchemeRedirector(plan.Scheme, placement.DRT, c.RedirectLookup))
-	return replay.RunWith(mw, tr, opts)
+	return replay.RunWith(mw, tr, replay.Options{Mode: c.ReplayMode})
 }
 
 // enableFaults injects the seeded scenario into mw's cluster and turns on

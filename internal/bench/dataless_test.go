@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"mhafs/internal/layout"
-	"mhafs/internal/replay"
 	"mhafs/internal/telemetry"
 	"mhafs/internal/trace"
 	"mhafs/internal/units"
@@ -17,14 +16,14 @@ import (
 )
 
 // Differential oracle for the dataless contract (DESIGN.md §14): a
-// dataless cluster replaying with scratch read buffers charges exactly
-// the virtual time a byte-accurate cluster does, through the same
-// submissions, so every scheme's replay.Result and telemetry snapshot
-// must be identical between the two. Batching stays off (RunScheme never
-// installs the batcher), so the only difference is where bytes go.
+// dataless cluster charges exactly the virtual time a byte-accurate
+// cluster does, through the same submissions, so every scheme's
+// replay.Result and telemetry snapshot must be identical between the
+// two. Batching stays off (RunScheme never installs the batcher), so the
+// only difference is where bytes go.
 
 // replayBothWays runs every scheme on tr twice — byte-accurate, then
-// dataless with scratch reads — and reports the first difference.
+// dataless — and reports the first difference.
 func replayBothWays(tr trace.Trace) error {
 	for _, scheme := range []layout.Scheme{layout.DEF, layout.AAL, layout.HARL, layout.MHA} {
 		var runs [2]SchemeRun
@@ -35,7 +34,7 @@ func replayBothWays(tr trace.Trace) error {
 			cfg.Cluster.Dataless = dataless
 			reg := telemetry.NewRegistry()
 			cfg.Telemetry = reg
-			run, err := cfg.runScheme(scheme, tr, replay.Options{Mode: cfg.ReplayMode, ScratchReads: dataless})
+			run, err := cfg.RunScheme(scheme, tr)
 			if err != nil {
 				return fmt.Errorf("%v dataless=%v: %w", scheme, dataless, err)
 			}

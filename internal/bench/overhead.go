@@ -5,7 +5,6 @@ import (
 
 	"mhafs/internal/layout"
 	"mhafs/internal/metrics"
-	"mhafs/internal/replay"
 	"mhafs/internal/trace"
 	"mhafs/internal/units"
 	"mhafs/internal/workload"
@@ -37,12 +36,11 @@ func (c Config) Fig14() ([]Fig14Row, *metrics.Table, error) {
 		if err != nil {
 			return Fig14Row{}, err
 		}
-		opts := replay.Options{Mode: cc.ReplayMode}
-		base, err := cc.replayPlan(layout.Plan{Scheme: layout.DEF}, tr, opts)
+		base, err := cc.replayPlan(layout.Plan{Scheme: layout.DEF}, tr)
 		if err != nil {
 			return Fig14Row{}, err
 		}
-		redir, err := cc.replayPlan(layout.Plan{Scheme: layout.MHA}, tr, opts)
+		redir, err := cc.replayPlan(layout.Plan{Scheme: layout.MHA}, tr)
 		if err != nil {
 			return Fig14Row{}, err
 		}

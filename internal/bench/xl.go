@@ -227,7 +227,7 @@ func RunXL(cfg XLConfig) (XLResult, error) {
 		// every rank barriers between I/O phases, so each phase's cohort
 		// issues at one virtual instant (which is also the adjacency the
 		// batching stage merges).
-		p, err := replay.Start(mw, tr, replay.Options{Mode: replay.LockStep, ScratchReads: true})
+		p, err := replay.Start(mw, tr, replay.Options{Mode: replay.LockStep})
 		if err != nil {
 			return XLResult{}, fmt.Errorf("bench: xl group %d: %w", g, err)
 		}

@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"mhafs/internal/pfs"
+	"mhafs/internal/region"
 	"mhafs/internal/server"
 	"mhafs/internal/sim"
 	"mhafs/internal/trace"
@@ -92,8 +93,7 @@ type Request struct {
 	// ordinary request.
 	Cancels *CancelSet
 
-	pipe        *Pipeline
-	annotations map[string]any
+	pipe *Pipeline
 
 	// Fan-out bookkeeping. A stage that splits a request presets fanOpen
 	// to the child count (fanOut); each child's Finish folds its end time
@@ -202,22 +202,6 @@ func (r *Request) FinishErr(end float64, err error) {
 	r.Finish(end)
 }
 
-// Annotate attaches a per-stage annotation to the request. Annotations are
-// for interceptors cooperating across the chain; the built-in stages do
-// not read them.
-func (r *Request) Annotate(key string, value any) {
-	if r.annotations == nil {
-		r.annotations = make(map[string]any)
-	}
-	r.annotations[key] = value
-}
-
-// Annotation returns the annotation for key, if set.
-func (r *Request) Annotation(key string) (any, bool) {
-	v, ok := r.annotations[key]
-	return v, ok
-}
-
 // child derives a Request that inherits the parent's identity and pipeline
 // but addresses a different extent. Children come from the pipeline's
 // descriptor pool and are recycled when they finish; the deriving stage
@@ -232,25 +216,46 @@ func (r *Request) child(file string, off int64, data []byte) *Request {
 	return c
 }
 
-// FanOut arms the request to complete after n derived children finish —
-// the exported form of the fan-out bookkeeping for stages composed from
-// outside the package (the adaptive scheduler).
-func (r *Request) FanOut(n int) { r.fanOut(n) }
-
-// Child derives a pooled child request addressing a different extent; the
-// deriving stage must arm the parent with FanOut before dispatching it.
-// Exported for stages composed from outside the package.
-func (r *Request) Child(file string, off int64, data []byte) *Request {
-	return r.child(file, off, data)
+// SplitTargets derives one pooled child per target extent, each bound to
+// its resolved file and to the matching slice of the request's data,
+// checks that the targets cover the request byte for byte, and arms the
+// fan-out over the children: the request completes with the slowest.
+// The caller dispatches the returned children itself. It is the one
+// translate-and-fan-out step of the redirect and failover stages and the
+// adaptive scheduler's relocation tables.
+//
+// The children slice allocates by design: translation fan-out runs only
+// over relocated extents, outside the XL tier's 0-alloc contract.
+//
+//mhavet:coldpath translation fan-out runs only over relocated extents
+func (r *Request) SplitTargets(targets []region.Target, files FileResolver) ([]*Request, error) {
+	children := make([]*Request, 0, len(targets))
+	var cursor int64
+	for _, tg := range targets {
+		f, err := files.ResolveFile(tg.File)
+		if err != nil {
+			return nil, err
+		}
+		child := r.child(tg.File, tg.Offset, r.Data[cursor:cursor+tg.Size])
+		child.Target = f
+		children = append(children, child)
+		cursor += tg.Size
+	}
+	if cursor != r.Size() {
+		return nil, fmt.Errorf("iopath: targets covered %d of %d bytes", cursor, r.Size())
+	}
+	r.fanOut(len(children))
+	return children, nil
 }
 
-// Derive is Child without the parent link: the leg completes on its own
-// and never folds into r. The adaptive scheduler's speculation race uses
-// it for the two racing copies of a piece — the race decides r's
-// completion from whichever leg finishes first, so neither leg may drive
-// r's fan-out directly (the loser would drag r's completion out to its
-// own, possibly cancelled-and-burned, end time). Callers observe a leg
-// through OnComplete; the leg's descriptor recycles itself when done.
+// Derive derives a pooled child without the parent link: the leg
+// completes on its own and never folds into r. The adaptive scheduler's
+// speculation race uses it for the two racing copies of a piece — the
+// race decides r's completion from whichever leg finishes first, so
+// neither leg may drive r's fan-out directly (the loser would drag r's
+// completion out to its own, possibly cancelled-and-burned, end time).
+// Callers observe a leg through OnComplete; the leg's descriptor
+// recycles itself when done.
 func (r *Request) Derive(file string, off int64, data []byte) *Request {
 	c := r.child(file, off, data)
 	c.parent = nil
@@ -392,14 +397,12 @@ type chain struct {
 	nexts []Handler
 }
 
-// Observer receives a callback when a request enters and leaves the
-// synchronous portion of each stage. Enter/exit pairs are properly nested
-// (dispatch is recursive) and always run under the pipeline's submission
-// lock. Observers that also want the request's eventual completion wrap
-// req.OnComplete from StageEnter, the sanctioned Recorder pattern.
+// Observer receives a callback when a request enters each stage, always
+// under the pipeline's submission lock. Observers that also want the
+// request's eventual completion wrap req.OnComplete from StageEnter, the
+// sanctioned Recorder pattern.
 type Observer interface {
 	StageEnter(stage string, req *Request)
-	StageExit(stage string, req *Request)
 }
 
 // Pipeline is an ordered, named chain of stages. Registration addresses
@@ -630,7 +633,7 @@ func (p *Pipeline) Exclusive(fn func()) {
 // the snapshot's prebuilt next handler, which continues at i+1. Requests
 // derived by a stage continue downstream of it — they do not restart the
 // chain. The observer (read under the submission lock dispatch already
-// runs beneath) brackets the synchronous portion of every stage.
+// runs beneath) sees every stage entry.
 func (p *Pipeline) dispatch(c *chain, req *Request, i int) error {
 	if i >= len(c.slots) {
 		return fmt.Errorf("iopath: request for %q fell off the end of the chain", req.File)
@@ -638,7 +641,6 @@ func (p *Pipeline) dispatch(c *chain, req *Request, i int) error {
 	s := &c.slots[i]
 	if o := p.obs; o != nil {
 		o.StageEnter(s.name, req)
-		defer o.StageExit(s.name, req)
 	}
 	return s.stage.Handle(req, c.nexts[i])
 }

@@ -293,22 +293,10 @@ func (rs *Resilience) Handle(req *Request, next Handler) error {
 	if len(targets) == 1 && !targets[0].Mapped {
 		return rs.handlePiece(req, next, 1)
 	}
-	children := make([]*Request, 0, len(targets))
-	var cursor int64
-	for _, tg := range targets {
-		f, err := rs.Files.ResolveFile(tg.File)
-		if err != nil {
-			return err
-		}
-		child := req.child(tg.File, tg.Offset, req.Data[cursor:cursor+tg.Size])
-		child.Target = f
-		children = append(children, child)
-		cursor += tg.Size
+	children, err := req.SplitTargets(targets, rs.Files)
+	if err != nil {
+		return err
 	}
-	if cursor != req.Size() {
-		return fmt.Errorf("iopath: failover translation covered %d of %d bytes", cursor, req.Size())
-	}
-	req.fanOut(len(children))
 	for _, child := range children {
 		if err := rs.handlePiece(child, next, 1); err != nil {
 			return err

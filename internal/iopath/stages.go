@@ -54,24 +54,10 @@ type Redirect struct {
 //mhavet:coldpath DRT redirection is not in the XL hot chain
 func (rd *Redirect) Handle(req *Request, next Handler) error {
 	r := rd.Redirector
-	n := req.Size()
-	targets := r.Resolve(req.File, req.Offset, n)
-	children := make([]*Request, 0, len(targets))
-	var cursor int64
-	for _, tg := range targets {
-		f, err := rd.Files.ResolveFile(tg.File)
-		if err != nil {
-			return err
-		}
-		child := req.child(tg.File, tg.Offset, req.Data[cursor:cursor+tg.Size])
-		child.Target = f
-		children = append(children, child)
-		cursor += tg.Size
+	children, err := req.SplitTargets(r.Resolve(req.File, req.Offset, req.Size()), rd.Files)
+	if err != nil {
+		return err
 	}
-	if cursor != n {
-		return fmt.Errorf("iopath: redirection covered %d of %d bytes", cursor, n)
-	}
-	req.fanOut(len(children))
 	rd.Eng.Schedule(r.LookupTime, func() {
 		req.pipe.Exclusive(func() {
 			for _, child := range children {

@@ -67,10 +67,6 @@ func (t *StageTimer) StageEnter(stage string, req *Request) {
 	}
 }
 
-// StageExit is a no-op: stages forward synchronously, so the enter→exit
-// span reads zero on the virtual clock the timer runs on.
-func (t *StageTimer) StageExit(stage string, req *Request) {}
-
 // Meter is an interceptor stage recording application-level request
 // counters and histograms: operations by type, request sizes, and
 // submit-to-completion virtual latency. Register it before the redirect

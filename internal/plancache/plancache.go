@@ -311,10 +311,9 @@ type cachedPlanner struct {
 }
 
 // Wrap returns p with every Plan call memoized through c; a nil cache
-// returns p unchanged. It is the entry point for every caller that keys
-// by trace content and does not need the Outcome: the bench harness,
-// mhafs.System and mhactl plan. The plan service, which keys jobs by
-// their descriptor, uses GetOrPlan directly.
+// returns p unchanged. It is the one cached-planner entry point, for
+// every caller that keys by trace content and does not need the Outcome:
+// the bench harness, mhafs.System, mhactl plan and the plan service.
 func Wrap(p layout.Planner, c *Cache) layout.Planner {
 	if c == nil {
 		return p

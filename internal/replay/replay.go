@@ -82,12 +82,6 @@ type Options struct {
 	// EpochWindow groups records into epochs for LockStep mode (seconds
 	// of trace time); 0 uses the pattern analyzer's default.
 	EpochWindow float64
-	// ScratchReads lands every read in one shared scratch buffer instead
-	// of allocating a fresh buffer per record. Only for replays that
-	// never look at the bytes read — the XL tier's dataless clusters,
-	// where no bytes move at all. Byte-accurate replays keep it off:
-	// concurrent reads would clobber each other's landing space.
-	ScratchReads bool
 }
 
 // Run replays the trace through the middleware with default options. Each
@@ -158,16 +152,21 @@ func Start(mw *mpiio.Middleware, tr trace.Trace, opts Options) (*Pending, error)
 	sorted := tr.Clone()
 	sorted.SortByTime()
 	perRank := make(map[int]trace.Trace)
+	var maxRead int64
 	for _, r := range sorted {
 		perRank[r.Rank] = append(perRank[r.Rank], r)
+		if r.Op == trace.OpRead && r.Size > maxRead {
+			maxRead = r.Size
+		}
 	}
 	ranks := tr.Ranks() // deterministic launch order
 
+	// No replay reads back the bytes it reads, so every read of every
+	// rank lands in one buffer sized to the largest read. Concurrent
+	// reads overwrite each other's landed bytes, which nothing observes;
+	// the virtual-time charges depend on sizes alone.
 	payload := sharedPayload(tr.MaxSize())
-	var readScratch []byte
-	if opts.ScratchReads {
-		readScratch = make([]byte, tr.MaxSize())
-	}
+	readBuf := make([]byte, maxRead)
 
 	// LockStep: compute each record's epoch and insert barriers at epoch
 	// boundaries. epochBarriers[e] fires when every record of epoch e has
@@ -208,7 +207,7 @@ func Start(mw *mpiio.Middleware, tr trace.Trace, opts Options) (*Pending, error)
 			barriers: epochBarriers,
 			handles:  make(map[string]*mpiio.FileHandle),
 			payload:  payload,
-			scratch:  readScratch,
+			readBuf:  readBuf,
 			t0:       t0,
 		}
 		if opts.Mode == LockStep {
@@ -245,7 +244,7 @@ type rankClient struct {
 	lastH    *mpiio.FileHandle
 	next     int // index of the next record to issue
 	payload  []byte
-	scratch  []byte
+	readBuf  []byte
 	t0       float64 // trace start time (Timed mode origin)
 
 	timed   trace.Record      // the one deferred record of Timed mode
@@ -315,13 +314,7 @@ func (c *rankClient) issueNow(rec trace.Record) {
 		err = h.WriteAt(c.payload[:rec.Size], rec.Offset, c.doneFn)
 	} else {
 		c.p.res.ReadBytes += rec.Size
-		buf := c.scratch
-		if buf == nil {
-			// Byte-accurate replays land every read in a fresh buffer;
-			// the XL tier's dataless replays set ScratchReads instead.
-			buf = make([]byte, rec.Size) //mhavet:allow literal
-		}
-		err = h.ReadAt(buf[:rec.Size], rec.Offset, c.doneFn)
+		err = h.ReadAt(c.readBuf[:rec.Size], rec.Offset, c.doneFn)
 	}
 	if err != nil {
 		c.p.runErrs = append(c.p.runErrs, err)

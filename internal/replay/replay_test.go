@@ -432,7 +432,7 @@ func TestOutageWithoutResilienceFailsTyped(t *testing.T) {
 			{Rank: 0, File: "f", Op: trace.OpWrite, Offset: 0, Size: 256 * units.KB, Time: 0},
 			{Rank: 1, File: "f", Op: trace.OpRead, Offset: 0, Size: 256 * units.KB, Time: 0},
 		}
-		_, err = RunWith(mpiio.New(c), tr, Options{ScratchReads: dataless})
+		_, err = Run(mpiio.New(c), tr)
 		if !errors.Is(err, fault.ErrUnavailable) {
 			t.Errorf("dataless=%v: replay err = %v, want one wrapping ErrUnavailable", dataless, err)
 		}

@@ -32,7 +32,7 @@ type CacheCounts struct {
 // Snapshot captures the dump.
 func (s *Service) Snapshot() StateDump {
 	dump := StateDump{
-		Time:   s.now,
+		Time:   s.Now(),
 		Stats:  s.stats,
 		Queued: s.depth,
 		Ledger: append([]Entry(nil), s.ledger.Entries()...),

@@ -3,16 +3,17 @@
 // applications, deduplicates them idempotently, queues them fairly, and
 // delivers plans through the content-addressed plan cache.
 //
-// The service is deterministic by construction. It runs on a virtual
-// clock: submissions, completions and retries are events on a single
-// (time, seq)-ordered queue processed by one goroutine, so two runs of
-// the same submission script produce byte-identical state dumps and
-// telemetry. Real parallelism exists only where the repository's
-// determinism argument already covers it — the planner executions of
-// jobs dispatched at the same virtual instant fan out on a parfan pool
-// (results committed in dispatch order), and each planner's internal
-// stripe searches fan out under Env.Workers. Neither changes a byte of
-// output (DESIGN.md §12, §18).
+// The service is deterministic by construction. It runs on the data
+// plane's discrete-event engine: every submission, cancellation,
+// completion and retry is one sim.Engine callback on one goroutine, and
+// the first event of an instant arms a same-instant dispatch that fires
+// after all of them (see Service.at), so two runs of the same submission
+// script produce byte-identical state dumps and telemetry. Real
+// parallelism exists only where the repository's determinism argument
+// already covers it — the planner executions of one dispatch batch fan
+// out on a parfan pool (results committed in dispatch order), and each
+// planner's internal stripe searches fan out under Env.Workers. Neither
+// changes a byte of output (DESIGN.md §12, §18).
 //
 // Identity model, outermost to innermost:
 //
@@ -38,6 +39,7 @@ import (
 	"mhafs/internal/layout"
 	"mhafs/internal/parfan"
 	"mhafs/internal/plancache"
+	"mhafs/internal/sim"
 	"mhafs/internal/telemetry"
 )
 
@@ -179,84 +181,6 @@ type job struct {
 	recovered bool // restored from the ledger by New
 }
 
-// eventKind discriminates queue events.
-type eventKind uint8
-
-const (
-	evArrive eventKind = iota
-	evFinish
-	evRetry
-	evCancel
-)
-
-// event is one scheduled occurrence; (time, seq) totally orders the
-// queue, so execution order is bit-for-bit reproducible.
-type event struct {
-	time float64
-	seq  uint64
-	kind eventKind
-
-	job *job // finish/retry
-
-	// arrival payload
-	desc      Descriptor
-	submitter string
-
-	// cancel payload
-	target JobID
-}
-
-// eventHeap is a binary min-heap ordered by (time, seq).
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	q := append(*h, e)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	*h = q
-}
-
-func (h *eventHeap) pop() event {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{}
-	q = q[:n]
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= len(q) {
-			break
-		}
-		child := left
-		if right := left + 1; right < len(q) && q.less(right, left) {
-			child = right
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q[i], q[child] = q[child], q[i]
-		i = child
-	}
-	*h = q
-	return top
-}
-
 // tenantQueue is one tenant's FIFO of pending jobs.
 type tenantQueue struct {
 	name string
@@ -280,10 +204,9 @@ type Stats struct {
 type Service struct {
 	cfg    Config
 	ledger *Ledger
-
-	now    float64
-	evSeq  uint64
-	events eventHeap
+	eng    *sim.Engine
+	armed  bool  // a same-instant dispatch event is queued
+	err    error // first ledger write failure; stops the run
 
 	jobs   map[JobID]*job
 	order  []JobID // jobs in first-submission order, for deterministic dumps
@@ -328,6 +251,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:    cfg,
 		ledger: led,
+		eng:    &sim.Engine{},
 		jobs:   make(map[JobID]*job),
 		queues: make(map[string]*tenantQueue),
 	}
@@ -382,7 +306,7 @@ func (s *Service) Close() error { return s.ledger.Close() }
 
 // Now returns the current virtual time in seconds (the service is a
 // telemetry.Clock).
-func (s *Service) Now() float64 { return s.now }
+func (s *Service) Now() float64 { return s.eng.Now() }
 
 // Ledger exposes the dedupe ledger for queries.
 func (s *Service) Ledger() *Ledger { return s.ledger }
@@ -406,20 +330,27 @@ func (s *Service) SubmitAt(t float64, d Descriptor, submitter string) (JobID, er
 	if err := d.Validate(); err != nil {
 		return JobID{}, err
 	}
-	if t < s.now || math.IsNaN(t) {
-		return JobID{}, fmt.Errorf("service: submission at %v is before now (%v)", t, s.now)
+	if t < s.Now() || math.IsNaN(t) {
+		return JobID{}, fmt.Errorf("service: submission at %v is before now (%v)", t, s.Now())
 	}
-	s.schedule(event{time: t, kind: evArrive, desc: d, submitter: submitter})
+	s.at(t, func() { s.arrive(d, submitter) })
 	return d.JobID(), nil
 }
 
 // Submit processes a submission at the current virtual time and returns
-// its receipt. Dispatching still happens inside Run.
+// its receipt. Dispatching still happens inside Run. A failed ledger
+// write is returned here and by every later Submit and Run.
 func (s *Service) Submit(d Descriptor, submitter string) (Receipt, error) {
 	if err := d.Validate(); err != nil {
 		return Receipt{}, err
 	}
+	if s.err != nil {
+		return Receipt{}, s.err
+	}
 	id, dup := s.arrive(d, submitter)
+	if s.err != nil {
+		return Receipt{}, s.err
+	}
 	return Receipt{ID: id, Duplicate: dup, State: s.jobs[id].state}, nil
 }
 
@@ -427,10 +358,10 @@ func (s *Service) Submit(d Descriptor, submitter string) (Receipt, error) {
 // pending (dequeued), running (result discarded at its completion
 // instant) or waiting on a retry; terminal jobs are untouched.
 func (s *Service) CancelAt(t float64, id JobID) error {
-	if t < s.now || math.IsNaN(t) {
-		return fmt.Errorf("service: cancellation at %v is before now (%v)", t, s.now)
+	if t < s.Now() || math.IsNaN(t) {
+		return fmt.Errorf("service: cancellation at %v is before now (%v)", t, s.Now())
 	}
-	s.schedule(event{time: t, kind: evCancel, target: id})
+	s.at(t, func() { s.cancel(id) })
 	return nil
 }
 
@@ -438,52 +369,40 @@ func (s *Service) CancelAt(t float64, id JobID) error {
 // was actually moved to Cancelled (false: unknown or already terminal).
 func (s *Service) Cancel(id JobID) bool { return s.cancel(id) }
 
-// schedule enqueues an event, stamping its sequence number.
-func (s *Service) schedule(e event) {
-	s.evSeq++
-	e.seq = s.evSeq
-	s.events.push(e)
+// at schedules fn as one service event at virtual time t. After fn runs,
+// the event arms a dispatch at the same instant unless one is already
+// armed: its seq is higher than every event already queued at t, so all
+// of the instant's events fire before the one dispatch batch.
+func (s *Service) at(t float64, fn func()) {
+	s.eng.At(t, func() {
+		fn()
+		if !s.armed {
+			s.armed = true
+			s.eng.At(s.eng.Now(), s.dispatchEvent)
+		}
+	})
 }
 
-// Run drains the event queue: the clock jumps from instant to instant,
-// all events of an instant fire in schedule order, and then freed slots
-// are refilled in one dispatch batch whose planner calls fan out on the
-// parfan pool. Run returns when no events remain — every submitted job
-// is then terminal or awaiting slots that no longer exist (impossible:
-// dispatch always drains the queue into free slots).
-func (s *Service) Run() error {
+// dispatchEvent is the armed same-instant dispatch.
+func (s *Service) dispatchEvent() {
+	s.armed = false
 	s.dispatch()
-	for len(s.events) > 0 {
-		t := s.events[0].time
-		s.now = t
-		for len(s.events) > 0 && s.events[0].time == t {
-			e := s.events.pop()
-			if err := s.handle(e); err != nil {
-				return err
-			}
-		}
-		s.dispatch()
-	}
-	return nil
 }
 
-// handle applies one event.
-func (s *Service) handle(e event) error {
-	switch e.kind {
-	case evArrive:
-		s.arrive(e.desc, e.submitter)
-	case evFinish:
-		s.finish(e.job)
-	case evRetry:
-		j := e.job
-		if j.state != StatePending { // cancelled while waiting for retry
-			return nil
-		}
-		s.enqueue(j)
-	case evCancel:
-		s.cancel(e.target)
+// Run drives the engine until no events remain: the clock jumps from
+// instant to instant, all events of an instant fire in schedule order,
+// and then freed slots are refilled in one dispatch batch whose planner
+// calls fan out on the parfan pool. When Run returns nil every submitted
+// job is terminal (dispatch always drains the queue into free slots). A
+// failed ledger write stops the run at that event and is returned.
+func (s *Service) Run() error {
+	if s.err != nil {
+		return s.err
 	}
-	return nil
+	s.dispatch()
+	for s.err == nil && s.eng.Step() {
+	}
+	return s.err
 }
 
 // arrive is the trigger API's core: record the submission, dedupe, and
@@ -494,13 +413,13 @@ func (s *Service) arrive(d Descriptor, submitter string) (JobID, bool) {
 	s.stats.Submitted++
 	inc(s.ctrSubmitted)
 	s.appendLedger(Entry{
-		Time: s.now, Kind: KindSubmit, Job: id.String(), Tenant: d.Tenant,
+		Time: s.Now(), Kind: KindSubmit, Job: id.String(), Tenant: d.Tenant,
 		Scheme: d.Scheme.String(), Submitter: submitter, Duplicate: dup,
 	})
 	if !dup {
 		j := &job{
 			id: id, tenant: d.Tenant, scheme: d.Scheme, desc: d, hasDesc: true,
-			state: StatePending, submittedAt: s.now,
+			state: StatePending, submittedAt: s.Now(),
 		}
 		s.jobs[id] = j
 		s.order = append(s.order, id)
@@ -517,7 +436,7 @@ func (s *Service) arrive(d Descriptor, submitter string) (JobID, bool) {
 		// and this re-activation.
 		existing.desc, existing.hasDesc = d, true
 		existing.state = StatePending
-		existing.submittedAt = s.now
+		existing.submittedAt = s.Now()
 		s.enqueue(existing)
 	}
 	return id, true
@@ -541,10 +460,10 @@ func (s *Service) cancel(id JobID) bool {
 		return false
 	}
 	j.state = StateCancelled
-	j.finishedAt = s.now
+	j.finishedAt = s.Now()
 	s.stats.Cancelled++
 	inc(s.ctrCancelled)
-	s.appendLedger(Entry{Time: s.now, Kind: KindCancel, Job: id.String(), Tenant: j.tenant})
+	s.appendLedger(Entry{Time: s.Now(), Kind: KindCancel, Job: id.String(), Tenant: j.tenant})
 	return true
 }
 
@@ -621,7 +540,7 @@ func (s *Service) dispatch() {
 		}
 		s.busy++
 		j.state = StateRunning
-		j.startedAt = s.now
+		j.startedAt = s.Now()
 		j.attempts++
 		batch = append(batch, j)
 	}
@@ -638,7 +557,7 @@ func (s *Service) dispatch() {
 	})
 	for i, j := range batch {
 		j.plan, j.planErr = results[i].plan, results[i].err
-		s.schedule(event{time: s.now + s.planDuration(j.desc), kind: evFinish, job: j})
+		s.at(s.Now()+s.planDuration(j.desc), func() { s.finish(j) })
 	}
 }
 
@@ -651,13 +570,7 @@ func (s *Service) plan(d Descriptor) (layout.Plan, error) {
 	if err != nil {
 		return layout.Plan{}, err
 	}
-	if s.cfg.Cache == nil {
-		return planner.Plan(d.Trace, d.Env)
-	}
-	plan, _, err := s.cfg.Cache.GetOrPlan(d.PlanKey(), func() (layout.Plan, error) {
-		return planner.Plan(d.Trace, d.Env)
-	})
-	return plan, err
+	return plancache.Wrap(planner, s.cfg.Cache).Plan(d.Trace, d.Env)
 }
 
 // planDuration is the job's virtual service time — a pure function of
@@ -683,38 +596,42 @@ func (s *Service) finish(j *job) {
 			for i := 1; i < j.attempts; i++ {
 				backoff *= 2
 			}
-			s.schedule(event{time: s.now + backoff, kind: evRetry, job: j})
+			s.at(s.Now()+backoff, func() {
+				if j.state == StatePending { // not cancelled while waiting
+					s.enqueue(j)
+				}
+			})
 			return
 		}
 		j.state = StateFailed
-		j.finishedAt = s.now
+		j.finishedAt = s.Now()
 		s.stats.Failed++
 		inc(s.ctrFailed)
 		s.appendLedger(Entry{
-			Time: s.now, Kind: KindFail, Job: j.id.String(), Tenant: j.tenant,
+			Time: s.Now(), Kind: KindFail, Job: j.id.String(), Tenant: j.tenant,
 			Error: j.planErr.Error(),
 		})
 		return
 	}
 	j.state = StateDone
-	j.finishedAt = s.now
+	j.finishedAt = s.Now()
 	s.stats.Completed++
 	inc(s.ctrCompleted)
-	s.appendLedger(Entry{Time: s.now, Kind: KindComplete, Job: j.id.String(), Tenant: j.tenant})
+	s.appendLedger(Entry{Time: s.Now(), Kind: KindComplete, Job: j.id.String(), Tenant: j.tenant})
 	if reg := s.cfg.Telemetry; reg != nil {
 		reg.Histogram("service_plan_latency_seconds", telemetry.LatencyBuckets(),
-			telemetry.L("scheme", j.scheme.String())).Observe(s.now - j.submittedAt)
+			telemetry.L("scheme", j.scheme.String())).Observe(s.Now() - j.submittedAt)
 	}
 }
 
-// appendLedger stamps and records one entry; ledger write failures are
-// fatal to the run (a dedupe ledger that silently loses rows cannot
-// detect anything).
+// appendLedger stamps and records one entry. The first write failure is
+// kept and stops the run (a dedupe ledger that silently loses rows cannot
+// detect anything); Run and Submit return it.
 func (s *Service) appendLedger(e Entry) {
 	s.ledSeq++
 	e.Seq = s.ledSeq
-	if err := s.ledger.Append(e); err != nil {
-		panic(err)
+	if err := s.ledger.Append(e); err != nil && s.err == nil {
+		s.err = err
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -319,6 +320,33 @@ func TestRestartRecovery(t *testing.T) {
 	}
 	if orphanSum == nil || orphanSum.Submissions != 2 || orphanSum.Duplicates != 1 || orphanSum.State != "done" {
 		t.Fatalf("orphan ledger summary %+v, want 2 submissions / 1 duplicate / done", orphanSum)
+	}
+}
+
+// TestLedgerWriteFailure: a ledger append that fails stops the run and
+// surfaces as an error from Run and every later Submit, never a panic.
+func TestLedgerWriteFailure(t *testing.T) {
+	s := mustService(t, Config{Workers: 1, LedgerDir: t.TempDir()})
+	s.planFn = func(Descriptor) (layout.Plan, error) { return layout.Plan{Scheme: layout.MHA}, nil }
+	if err := s.ledger.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	id := mustSubmitAt(t, s, 0, testDescriptor("acme", 10), "ana")
+	mustSubmitAt(t, s, 1, testDescriptor("acme", 20), "ana")
+	err := s.Run()
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Run = %v, want an error wrapping os.ErrClosed", err)
+	}
+	// The failed arrival was the run's last event: nothing was dispatched
+	// and the later arrival never fired.
+	if st, _ := s.Status(id); st.State != "pending" {
+		t.Fatalf("job state %s after the failed append, want pending", st.State)
+	}
+	if got := s.Stats().Submitted; got != 1 {
+		t.Fatalf("submitted = %d, want 1 (the run stops at the failure)", got)
+	}
+	if _, err := s.Submit(testDescriptor("acme", 30), "bob"); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Submit after the failure = %v, want the ledger error", err)
 	}
 }
 
