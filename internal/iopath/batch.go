@@ -8,10 +8,6 @@ import (
 	"mhafs/internal/trace"
 )
 
-// StageBatch is the batching stage's canonical name; it registers between
-// stripe and server.
-const StageBatch = "batch"
-
 // Batcher coalesces server-bound sub-requests into single service events.
 // It models request aggregation in the client I/O stack: sub-requests
 // issued at the same virtual instant that address contiguous ranges of the
@@ -74,7 +70,8 @@ type batchGroup struct {
 
 // NewBatcher creates the stage for a pipeline; window is the aggregation
 // window in virtual seconds (0 flushes at the enqueueing instant).
-// Register it with p.InsertBefore(StageServer, StageBatch, b).
+// Register it with p.Set(StageBatch, b); it lands between stripe and
+// server.
 func NewBatcher(p *Pipeline, window float64) *Batcher {
 	if p == nil {
 		panic("iopath: batcher needs a pipeline")

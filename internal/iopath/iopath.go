@@ -7,21 +7,29 @@
 // parallel file system. iopath replaces that plumbing with one Request
 // descriptor flowing through an ordered chain of Stage values:
 //
-//		trace ──▶ (interceptors…) ──▶ redirect ──▶ stripe ──▶ server
+//		trace ──▶ (interceptors…) ──▶ redirect ──▶ adaptive ──▶ resilience
+//		      ──▶ stripe ──▶ batch ──▶ server
 //
-//	  - trace    — capture the request into the I/O Collector (tracing phase);
-//	  - redirect — translate the extent through the Data Reordering Table,
-//	    charging the DRT lookup latency (redirection phase);
-//	  - stripe   — resolve the target file and fan the extent out into one
-//	    coalesced sub-request per storage server;
-//	  - server   — submit each sub-request to its server, whose model covers
-//	    the network transport and device service time.
+//	  - trace      — capture the request into the I/O Collector (tracing
+//	    phase);
+//	  - redirect   — translate the extent through the Data Reordering
+//	    Table, charging the DRT lookup latency (redirection phase);
+//	  - adaptive   — route region extents around lagging servers
+//	    (internal/adaptive, opt-in);
+//	  - resilience — route region extents around down servers (opt-in);
+//	  - stripe     — resolve the target file and fan the extent out into
+//	    one coalesced sub-request per storage server;
+//	  - batch      — merge contiguous sub-requests into one service event
+//	    (opt-in);
+//	  - server     — submit each sub-request to its server, whose model
+//	    covers the network transport and device service time.
 //
-// Cross-cutting concerns (metrics, request counting, QoS, replay
-// instrumentation) register as interceptor stages between trace and
-// redirect instead of being hard-coded into any layer. The chain is
-// composed by name, so schemes install and remove the redirect stage at
-// run time without the layers knowing about each other.
+// The pipeline owns that order (chainOrder): Set installs or replaces a
+// built-in stage in its slot, and Intercept adds a cross-cutting concern
+// (metrics, request counting, QoS, replay instrumentation) as an
+// interceptor between trace and redirect. Callers name stages and never
+// positions, so schemes install and remove stages at run time without
+// the layers knowing about each other.
 //
 // Determinism contract: stages forward synchronously unless they model a
 // latency (the redirect stage schedules its fan-out after the DRT lookup
@@ -370,15 +378,44 @@ type StageFunc func(*Request, Handler) error
 // Handle implements Stage.
 func (f StageFunc) Handle(req *Request, next Handler) error { return f(req, next) }
 
-// Canonical stage names, in chain order.
+// The built-in stage names.
 const (
 	StageTrace      = "trace"
 	StageRedirect   = "redirect"
 	StageAdaptive   = "adaptive"
 	StageResilience = "resilience"
 	StageStripe     = "stripe"
+	StageBatch      = "batch"
 	StageServer     = "server"
 )
+
+// chainOrder is the canonical stage order, the one place it is written
+// down. The empty entry is the interceptor slot: every name not listed
+// is an interceptor and sits there, in registration order.
+var chainOrder = [...]string{
+	StageTrace,
+	"", // interceptors
+	StageRedirect,
+	StageAdaptive,
+	StageResilience,
+	StageStripe,
+	StageBatch,
+	StageServer,
+}
+
+// rank returns the name's position in chainOrder and whether it is a
+// built-in stage; interceptors share the empty entry's position.
+func rank(name string) (int, bool) {
+	interceptor := 0
+	for i, n := range chainOrder {
+		if n == "" {
+			interceptor = i
+		} else if n == name {
+			return i, true
+		}
+	}
+	return interceptor, false
+}
 
 // slot is one named link of the chain.
 type slot struct {
@@ -406,8 +443,8 @@ type Observer interface {
 }
 
 // Pipeline is an ordered, named chain of stages. Registration addresses
-// stages by name so callers compose the chain without positional
-// knowledge; Submit pushes a request through the chain front to back.
+// stages by name and the pipeline places them in the canonical order;
+// Submit pushes a request through the chain front to back.
 //
 // Submission is safe for concurrent use: the whole synchronous part of a
 // submission runs under one lock, so independent clients may submit from
@@ -500,64 +537,59 @@ func (p *Pipeline) buildChain(slots []slot) *chain {
 	return c
 }
 
-// Append adds a stage at the end of the chain.
-func (p *Pipeline) Append(name string, s Stage) error {
-	return p.insert(name, s, func() int { return len(p.chain.slots) })
+// Set installs s under name, or replaces the stage already registered
+// under it in place. A new built-in stage lands in its slot of the
+// canonical order; any other name is an interceptor and lands after
+// trace and every interceptor registered before it.
+func (p *Pipeline) Set(name string, s Stage) error {
+	return p.place(name, s, false)
 }
 
-// InsertBefore adds a stage immediately before the named anchor stage.
-func (p *Pipeline) InsertBefore(anchor, name string, s Stage) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	at := p.indexOf(anchor)
-	if at < 0 {
-		return fmt.Errorf("iopath: no stage %q to insert before", anchor)
-	}
-	return p.insertLocked(name, s, at)
+// Intercept adds a new interceptor stage after trace and every earlier
+// interceptor, before the built-in stages that follow them. It refuses a
+// built-in name and a name already registered.
+func (p *Pipeline) Intercept(name string, s Stage) error {
+	return p.place(name, s, true)
 }
 
-func (p *Pipeline) insert(name string, s Stage, at func() int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.insertLocked(name, s, at())
-}
-
-// Registration is copy-on-write: in-flight requests hold the chain they
-// were submitted into, so a stage continuing a request from a scheduled
-// event is never re-routed by later registration changes.
-func (p *Pipeline) insertLocked(name string, s Stage, at int) error {
+// place is the one registration step. Registration is copy-on-write:
+// in-flight requests hold the chain they were submitted into, so a stage
+// continuing a request from a scheduled event is never re-routed by
+// later registration changes.
+func (p *Pipeline) place(name string, s Stage, fresh bool) error {
 	if name == "" {
 		return fmt.Errorf("iopath: empty stage name")
 	}
 	if s == nil {
 		return fmt.Errorf("iopath: nil stage %q", name)
 	}
-	if p.indexOf(name) >= 0 {
-		return fmt.Errorf("iopath: stage %q already registered", name)
-	}
-	old := p.chain.slots
-	ns := make([]slot, 0, len(old)+1)
-	ns = append(ns, old[:at]...)
-	ns = append(ns, slot{name: name, stage: s})
-	ns = append(ns, old[at:]...)
-	p.chain = p.buildChain(ns)
-	return nil
-}
-
-// Replace swaps the implementation of an existing named stage.
-func (p *Pipeline) Replace(name string, s Stage) error {
-	if s == nil {
-		return fmt.Errorf("iopath: nil stage %q", name)
+	r, builtin := rank(name)
+	if fresh && builtin {
+		return fmt.Errorf("iopath: %q is a built-in stage, not an interceptor", name)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	i := p.indexOf(name)
-	if i < 0 {
-		return fmt.Errorf("iopath: no stage %q to replace", name)
+	old := p.chain.slots
+	at := p.indexOf(name)
+	if at >= 0 && fresh {
+		return fmt.Errorf("iopath: stage %q already registered", name)
 	}
-	ns := make([]slot, len(p.chain.slots))
-	copy(ns, p.chain.slots)
-	ns[i].stage = s
+	ns := make([]slot, 0, len(old)+1)
+	if at >= 0 {
+		ns = append(ns, old...)
+		ns[at].stage = s
+	} else {
+		at = len(old)
+		for i := range old {
+			if ri, _ := rank(old[i].name); ri > r {
+				at = i
+				break
+			}
+		}
+		ns = append(ns, old[:at]...)
+		ns = append(ns, slot{name: name, stage: s})
+		ns = append(ns, old[at:]...)
+	}
 	p.chain = p.buildChain(ns)
 	return nil
 }
@@ -576,13 +608,6 @@ func (p *Pipeline) Remove(name string) bool {
 	ns = append(ns, old[i+1:]...)
 	p.chain = p.buildChain(ns)
 	return true
-}
-
-// Has reports whether a stage with the given name is registered.
-func (p *Pipeline) Has(name string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.indexOf(name) >= 0
 }
 
 // SetObserver installs (or, with nil, clears) the pipeline's stage

@@ -25,25 +25,50 @@ func terminal(log *[]string) Stage {
 	})
 }
 
+// TestStageOrdering: stages registered in any order come out in the
+// canonical chain order, interceptors after trace in registration order,
+// and replacing a stage keeps its position.
 func TestStageOrdering(t *testing.T) {
 	eng := &sim.Engine{}
 	p := NewPipeline(eng)
 	var log []string
-	if err := p.Append("a", mark(&log, "a")); err != nil {
-		t.Fatal(err)
+	install := []string{StageServer, "x", StageStripe, StageBatch, StageRedirect,
+		"y", StageResilience, StageTrace, StageAdaptive, "z"}
+	for _, name := range install {
+		var err error
+		if _, builtin := rank(name); !builtin {
+			err = p.Intercept(name, mark(&log, name))
+		} else if name == StageServer {
+			err = p.Set(name, terminal(&log))
+		} else {
+			err = p.Set(name, mark(&log, name))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.Append("end", terminal(&log)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.InsertBefore("end", "c", mark(&log, "c")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.InsertBefore("c", "b", mark(&log, "b")); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a", "b", "c", "end"}
+	want := []string{StageTrace, "x", "y", "z", StageRedirect, StageAdaptive,
+		StageResilience, StageStripe, StageBatch, StageServer}
 	if got := p.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+
+	// Replacing a built-in or an interceptor keeps its slot; a removed
+	// built-in returns to its slot.
+	if err := p.Set(StageRedirect, mark(&log, StageRedirect)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Set("y", mark(&log, "y")); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Remove(StageAdaptive) {
+		t.Fatal("Remove(adaptive) reported not present")
+	}
+	if err := p.Set(StageAdaptive, mark(&log, StageAdaptive)); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after replace/re-install Names() = %v, want %v", got, want)
 	}
 
 	var end float64 = -1
@@ -52,8 +77,9 @@ func TestStageOrdering(t *testing.T) {
 	if err := p.Submit(req); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(log, want) {
-		t.Fatalf("execution order = %v, want %v", log, want)
+	wantLog := append(append([]string(nil), want[:len(want)-1]...), "end")
+	if !reflect.DeepEqual(log, wantLog) {
+		t.Fatalf("execution order = %v, want %v", log, wantLog)
 	}
 	if end != 0 || req.Complete != 0 || req.Submit != 0 {
 		t.Fatalf("completion not stamped: end=%v submit=%v complete=%v", end, req.Submit, req.Complete)
@@ -63,31 +89,39 @@ func TestStageOrdering(t *testing.T) {
 func TestRegistrationErrors(t *testing.T) {
 	p := NewPipeline(&sim.Engine{})
 	var log []string
-	if err := p.Append("a", mark(&log, "a")); err != nil {
+	if err := p.Intercept("a", mark(&log, "a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Append("a", mark(&log, "a")); err == nil {
-		t.Error("duplicate name accepted")
+	if err := p.Intercept("a", mark(&log, "a")); err == nil {
+		t.Error("duplicate interceptor name accepted")
 	}
-	if err := p.Append("", mark(&log, "x")); err == nil {
-		t.Error("empty name accepted")
+	for _, name := range chainOrder {
+		if name == "" {
+			continue
+		}
+		if err := p.Intercept(name, mark(&log, name)); err == nil {
+			t.Errorf("Intercept accepted built-in name %q", name)
+		}
 	}
-	if err := p.Append("nil", nil); err == nil {
+	if err := p.Intercept("", mark(&log, "x")); err == nil {
+		t.Error("empty interceptor name accepted")
+	}
+	if err := p.Set("", mark(&log, "x")); err == nil {
+		t.Error("empty stage name accepted")
+	}
+	if err := p.Intercept("nil", nil); err == nil {
+		t.Error("nil interceptor accepted")
+	}
+	if err := p.Set(StageStripe, nil); err == nil {
 		t.Error("nil stage accepted")
 	}
-	if err := p.InsertBefore("ghost", "x", mark(&log, "x")); err == nil {
-		t.Error("unknown anchor accepted")
-	}
-	if err := p.Replace("ghost", mark(&log, "x")); err == nil {
-		t.Error("replacing unknown stage accepted")
+	if got, want := p.Names(), []string{"a"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("rejected registrations changed the chain: %v, want %v", got, want)
 	}
 	if p.Remove("ghost") {
 		t.Error("Remove(ghost) reported true")
 	}
-	if !p.Has("a") || p.Has("ghost") {
-		t.Error("Has misreports registration")
-	}
-	if !p.Remove("a") || p.Has("a") {
+	if !p.Remove("a") || len(p.Names()) != 0 {
 		t.Error("Remove(a) did not unregister")
 	}
 }
@@ -110,13 +144,13 @@ func TestChainSnapshot(t *testing.T) {
 		})
 		return nil
 	})
-	if err := p.Append("delay", delay); err != nil {
+	if err := p.Intercept("delay", delay); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Append("obs", mark(&log, "obs")); err != nil {
+	if err := p.Intercept("obs", mark(&log, "obs")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Append("end", terminal(&log)); err != nil {
+	if err := p.Intercept("end", terminal(&log)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Submit(&Request{File: "f", Data: []byte{1}}); err != nil {
@@ -145,7 +179,7 @@ func TestChainSnapshot(t *testing.T) {
 func TestFallOffEnd(t *testing.T) {
 	p := NewPipeline(&sim.Engine{})
 	var log []string
-	if err := p.Append("a", mark(&log, "a")); err != nil {
+	if err := p.Intercept("a", mark(&log, "a")); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Submit(&Request{File: "f", Data: []byte{1}}); err == nil {
@@ -157,14 +191,14 @@ func TestRecorder(t *testing.T) {
 	eng := &sim.Engine{}
 	p := NewPipeline(eng)
 	rec := NewRecorder()
-	if err := p.Append("rec", rec); err != nil {
+	if err := p.Intercept("rec", rec); err != nil {
 		t.Fatal(err)
 	}
 	finishAt := StageFunc(func(req *Request, next Handler) error {
 		eng.Schedule(2, func() { req.Finish(eng.Now()) })
 		return nil
 	})
-	if err := p.Append("end", finishAt); err != nil {
+	if err := p.Intercept("end", finishAt); err != nil {
 		t.Fatal(err)
 	}
 	var cbEnd float64

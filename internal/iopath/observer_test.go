@@ -24,13 +24,13 @@ func TestObserverNesting(t *testing.T) {
 	var log []string
 	obs := &logObserver{}
 	p.SetObserver(obs)
-	if err := p.Append("a", mark(&log, "a")); err != nil {
+	if err := p.Intercept("a", mark(&log, "a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Append("b", mark(&log, "b")); err != nil {
+	if err := p.Intercept("b", mark(&log, "b")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Append("end", terminal(&log)); err != nil {
+	if err := p.Intercept("end", terminal(&log)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Submit(&Request{File: "f", Data: []byte{1}}); err != nil {
@@ -65,12 +65,12 @@ func TestStageTimerVirtualSpans(t *testing.T) {
 		eng.Schedule(2, func() { req.Finish(eng.Now()) })
 		return nil
 	})
-	if err := p.Append("pass", StageFunc(func(req *Request, next Handler) error {
+	if err := p.Intercept("pass", StageFunc(func(req *Request, next Handler) error {
 		return next(req)
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Append("slow", slow); err != nil {
+	if err := p.Intercept("slow", slow); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -96,14 +96,14 @@ func TestMeterCountsAndLatency(t *testing.T) {
 	eng := &sim.Engine{}
 	p := NewPipeline(eng)
 	reg := telemetry.NewRegistry()
-	if err := p.Append("meter", NewMeter(reg)); err != nil {
+	if err := p.Intercept("meter", NewMeter(reg)); err != nil {
 		t.Fatal(err)
 	}
 	finishAt := StageFunc(func(req *Request, next Handler) error {
 		eng.Schedule(3, func() { req.Finish(eng.Now()) })
 		return nil
 	})
-	if err := p.Append("end", finishAt); err != nil {
+	if err := p.Intercept("end", finishAt); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Submit(&Request{Op: trace.OpWrite, File: "f", Data: make([]byte, 4096)}); err != nil {

@@ -58,7 +58,7 @@ func retryHarness(t *testing.T, sched fault.Schedule, pol RetryPolicy) (*sim.Eng
 	reg := telemetry.NewRegistry()
 	stage.SetTelemetry(reg)
 	p := NewPipeline(eng)
-	if err := p.Append(StageServer, stage); err != nil {
+	if err := p.Set(StageServer, stage); err != nil {
 		t.Fatal(err)
 	}
 	return eng, p, stage, srv, reg
@@ -248,9 +248,9 @@ func failoverHarness(t *testing.T, sched fault.Schedule, pol RetryPolicy) (*pfs.
 			t.Fatal(err)
 		}
 	}
-	must(p.Append(StageResilience, res))
-	must(p.Append(StageStripe, &Striper{Cluster: c, Files: resolver{c}}))
-	must(p.Append(StageServer, retry))
+	must(p.Set(StageResilience, res))
+	must(p.Set(StageStripe, &Striper{Cluster: c, Files: resolver{c}}))
+	must(p.Set(StageServer, retry))
 	return c, p, fo, reg
 }
 

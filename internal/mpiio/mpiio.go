@@ -3,16 +3,18 @@
 //
 // It is the repository's analogue of the paper's modified MPICH2 library.
 // Every independent read and write is described by one iopath.Request and
-// submitted into the staged I/O pipeline
+// submitted into the staged I/O pipeline, in the order iopath fixes:
 //
-//	trace ──▶ (interceptors…) ──▶ redirect ──▶ stripe ──▶ server
+//	trace ──▶ (interceptors…) ──▶ redirect ──▶ adaptive ──▶ resilience
+//	      ──▶ stripe ──▶ batch ──▶ server
 //
 // so the tracing hook (I/O Collector) and the redirection hook (Data
 // Reordering Table) are pipeline stages installed with SetCollector and
-// SetRedirector rather than hard-wired special cases, and cross-cutting
-// concerns register as interceptors with Intercept — all transparently to
-// the application, which only sees Open/ReadAt/WriteAt/Close on the
-// original file names.
+// SetRedirector rather than hard-wired special cases, the opt-in stages
+// come from EnableAdaptive, EnableResilience and EnableBatching, and
+// cross-cutting concerns register as interceptors with Intercept — all
+// transparently to the application, which only sees
+// Open/ReadAt/WriteAt/Close on the original file names.
 package mpiio
 
 import (
@@ -49,6 +51,7 @@ type Middleware struct {
 	retryStage *iopath.RetryServerStage
 	failover   *reorder.Failover
 	adaptive   *adaptive.Scheduler
+	batching   bool
 	nextFD     int
 }
 
@@ -61,10 +64,9 @@ func New(c *pfs.Cluster) *Middleware {
 	}
 	m := &Middleware{Cluster: c, AutoCreate: true}
 	m.pipe = iopath.NewPipeline(c.Eng)
-	// Registration on a fresh pipeline cannot fail: names are distinct.
-	must(m.pipe.Append(iopath.StageTrace, &iopath.Capture{}))
-	must(m.pipe.Append(iopath.StageStripe, &iopath.Striper{Cluster: c, Files: m}))
-	must(m.pipe.Append(iopath.StageServer, iopath.ServerStage{}))
+	must(m.pipe.Set(iopath.StageTrace, &iopath.Capture{}))
+	must(m.pipe.Set(iopath.StageStripe, &iopath.Striper{Cluster: c, Files: m}))
+	must(m.pipe.Set(iopath.StageServer, iopath.ServerStage{}))
 	return m
 }
 
@@ -74,16 +76,11 @@ func must(err error) {
 	}
 }
 
-// Pipeline exposes the stage chain for direct composition (stage listing,
-// custom placement). Most callers use SetCollector, SetRedirector and
-// Intercept instead.
-func (m *Middleware) Pipeline() *iopath.Pipeline { return m.pipe }
-
 // SetCollector installs (or, with nil, clears) the tracing stage's
 // collector. Configuration is not safe concurrently with submission.
 func (m *Middleware) SetCollector(col *iosig.Collector) {
 	m.collector = col
-	must(m.pipe.Replace(iopath.StageTrace, &iopath.Capture{Collector: col}))
+	must(m.pipe.Set(iopath.StageTrace, &iopath.Capture{Collector: col}))
 }
 
 // Collector returns the installed collector (nil when tracing is not
@@ -103,23 +100,7 @@ func (m *Middleware) SetRedirector(r *reorder.Redirector) {
 	if m.telemetry != nil {
 		r.SetTelemetry(m.telemetry)
 	}
-	st := &iopath.Redirect{Redirector: r, Files: m, Eng: m.Cluster.Eng}
-	if m.pipe.Has(iopath.StageRedirect) {
-		must(m.pipe.Replace(iopath.StageRedirect, st))
-		return
-	}
-	anchor := iopath.StageStripe
-	if m.pipe.Has(iopath.StageResilience) {
-		// Redirection translates logical extents to regions; failover then
-		// routes the region extents around down servers.
-		anchor = iopath.StageResilience
-	}
-	if m.pipe.Has(iopath.StageAdaptive) {
-		// The adaptive scheduler decides per region extent, so it too runs
-		// after redirection.
-		anchor = iopath.StageAdaptive
-	}
-	must(m.pipe.InsertBefore(anchor, iopath.StageRedirect, st))
+	must(m.pipe.Set(iopath.StageRedirect, &iopath.Redirect{Redirector: r, Files: m, Eng: m.Cluster.Eng}))
 }
 
 // Redirector returns the installed redirector (nil when requests are not
@@ -140,12 +121,12 @@ type ResilienceOptions struct {
 }
 
 // EnableResilience turns on the client's fault handling: the terminal
-// server stage is replaced with the retrying one, and a failover stage is
-// inserted before striping that routes extents around down servers —
-// writes re-stripe onto survivors through a fallback file, reads of
-// unmapped data wait for recovery. The injector is attached to the
-// cluster and armed. Enabling twice is a wiring bug (the middleware owns
-// one failover table per run).
+// server stage is replaced with the retrying one, and a failover stage
+// after redirection routes region extents around down servers — writes
+// re-stripe onto survivors through a fallback file, reads of unmapped
+// data wait for recovery. The injector is attached to the cluster and
+// armed. Enabling twice is a wiring bug (the middleware owns one failover
+// table per run).
 func (m *Middleware) EnableResilience(opts ResilienceOptions) error {
 	if opts.Injector == nil {
 		return fmt.Errorf("mpiio: resilience needs a fault injector")
@@ -178,10 +159,8 @@ func (m *Middleware) EnableResilience(opts ResilienceOptions) error {
 		res.SetTelemetry(m.telemetry)
 		retry.SetTelemetry(m.telemetry)
 	}
-	// The stage lands after redirect (region extents are what hit servers)
-	// and before stripe.
-	must(m.pipe.InsertBefore(iopath.StageStripe, iopath.StageResilience, res))
-	must(m.pipe.Replace(iopath.StageServer, retry))
+	must(m.pipe.Set(iopath.StageResilience, res))
+	must(m.pipe.Set(iopath.StageServer, retry))
 	m.resilience, m.retryStage, m.failover = res, retry, fo
 	return nil
 }
@@ -202,18 +181,19 @@ type AdaptiveOptions struct {
 }
 
 // EnableAdaptive turns on the client's straggler-aware scheduling
-// (SASIO): a stage inserted after redirection and before resilience and
-// striping that maintains per-server latency estimates and reroutes or
-// speculatively re-issues writes around lagging servers. The scheduler
-// owns its own failover/relocation tables, separate from the resilience
-// stage's outage tables. Enabling twice is a wiring bug. Adaptive
-// scheduling and batching are mutually exclusive: a merged submission
-// cannot be withdrawn by one of the requests it coalesced.
+// (SASIO): a stage after redirection and before resilience (so a
+// relocated piece can still fail over) that maintains per-server latency
+// estimates and reroutes or speculatively re-issues writes around lagging
+// servers. The scheduler owns its own failover/relocation tables,
+// separate from the resilience stage's outage tables. Enabling twice is a
+// wiring bug. Adaptive scheduling and batching are mutually exclusive: a
+// merged submission cannot be withdrawn by one of the requests it
+// coalesced.
 func (m *Middleware) EnableAdaptive(opts AdaptiveOptions) error {
 	if m.adaptive != nil {
 		return fmt.Errorf("mpiio: adaptive scheduling already enabled")
 	}
-	if m.pipe.Has(iopath.StageBatch) {
+	if m.batching {
 		return fmt.Errorf("mpiio: adaptive scheduling is incompatible with batching")
 	}
 	pol := opts.Policy
@@ -232,14 +212,7 @@ func (m *Middleware) EnableAdaptive(opts AdaptiveOptions) error {
 	if m.telemetry != nil {
 		sched.SetTelemetry(m.telemetry)
 	}
-	// The stage lands after redirect (region extents are what hit
-	// servers) and before resilience, so an adaptively relocated piece
-	// can still fail over if its new home goes down.
-	anchor := iopath.StageStripe
-	if m.pipe.Has(iopath.StageResilience) {
-		anchor = iopath.StageResilience
-	}
-	must(m.pipe.InsertBefore(anchor, iopath.StageAdaptive, sched))
+	must(m.pipe.Set(iopath.StageAdaptive, sched))
 	m.adaptive = sched
 	return nil
 }
@@ -248,7 +221,7 @@ func (m *Middleware) EnableAdaptive(opts AdaptiveOptions) error {
 // scheduling is enabled).
 func (m *Middleware) Adaptive() *adaptive.Scheduler { return m.adaptive }
 
-// EnableBatching inserts the sub-request batching stage before the
+// EnableBatching installs the sub-request batching stage before the
 // terminal server stage (or its retrying replacement): sub-requests
 // issued within one aggregation window (window virtual seconds; 0 means
 // one virtual instant) that address contiguous ranges of the same server
@@ -256,13 +229,15 @@ func (m *Middleware) Adaptive() *adaptive.Scheduler { return m.adaptive }
 // the modeled cost — that is its point — so the paper pipelines leave it
 // off; the XL tier turns it on. See iopath.Batcher for the merge contract.
 func (m *Middleware) EnableBatching(window float64) error {
-	if m.pipe.Has(iopath.StageBatch) {
+	if m.batching {
 		return fmt.Errorf("mpiio: batching already enabled")
 	}
 	if m.adaptive != nil {
 		return fmt.Errorf("mpiio: batching is incompatible with adaptive scheduling")
 	}
-	return m.pipe.InsertBefore(iopath.StageServer, iopath.StageBatch, iopath.NewBatcher(m.pipe, window))
+	must(m.pipe.Set(iopath.StageBatch, iopath.NewBatcher(m.pipe, window)))
+	m.batching = true
+	return nil
 }
 
 // EnableTelemetry wires the whole I/O path into reg: a stage timer
@@ -281,7 +256,7 @@ func (m *Middleware) EnableTelemetry(reg *telemetry.Registry) {
 	if m.resilience != nil {
 		m.resilience.SetTelemetry(reg)
 		m.retryStage.SetTelemetry(reg)
-		if in := m.Cluster.Faults(); in != nil && reg != nil {
+		if in := m.Cluster.Faults(); in != nil {
 			in.SetTelemetry(reg)
 		}
 	}
@@ -294,30 +269,16 @@ func (m *Middleware) EnableTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	m.pipe.SetObserver(iopath.NewStageTimer(reg, m.Cluster.Eng))
-	if !m.pipe.Has(StageMeter) {
-		must(m.Intercept(StageMeter, iopath.NewMeter(reg)))
-	}
+	must(m.pipe.Set(StageMeter, iopath.NewMeter(reg)))
 }
-
-// Telemetry returns the enabled registry (nil when telemetry is off).
-func (m *Middleware) Telemetry() *telemetry.Registry { return m.telemetry }
 
 // Intercept registers an interceptor stage on the request path: after
 // trace capture and any earlier interceptors, before redirection and
 // striping. Every independent request — and each collective operation's
-// aggregated file-domain requests — flows through it.
+// aggregated file-domain requests — flows through it. A built-in stage
+// name or a name already registered is an error.
 func (m *Middleware) Intercept(name string, s iopath.Stage) error {
-	anchor := iopath.StageStripe
-	if m.pipe.Has(iopath.StageResilience) {
-		anchor = iopath.StageResilience
-	}
-	if m.pipe.Has(iopath.StageAdaptive) {
-		anchor = iopath.StageAdaptive
-	}
-	if m.pipe.Has(iopath.StageRedirect) {
-		anchor = iopath.StageRedirect
-	}
-	return m.pipe.InsertBefore(anchor, name, s)
+	return m.pipe.Intercept(name, s)
 }
 
 // Uninstall removes a named interceptor, reporting whether it was present.

@@ -3,10 +3,16 @@ package mpiio
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
+	"mhafs/internal/fault"
 	"mhafs/internal/iopath"
+	"mhafs/internal/pfs"
+	"mhafs/internal/region"
+	"mhafs/internal/reorder"
+	"mhafs/internal/telemetry"
 	"mhafs/internal/units"
 )
 
@@ -160,5 +166,139 @@ func TestCollectiveTraversesInterceptors(t *testing.T) {
 	}
 	if untraced != total-1 {
 		t.Errorf("independent request not distinguishable: total=%d untraced=%d", total, untraced)
+	}
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{nil}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for at := 0; at <= len(p); at++ {
+			q := make([]int, 0, n)
+			q = append(q, p[:at]...)
+			q = append(q, n-1)
+			q = append(q, p[at:]...)
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// flakyInjector builds the flaky fault scenario over the cluster.
+func flakyInjector(t *testing.T, c *pfs.Cluster) *fault.Injector {
+	t.Helper()
+	cfg := c.Config()
+	sched, err := fault.ScenarioFlaky.Build(cfg.HServers, cfg.SServers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := fault.NewInjector(c.Eng, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// TestStageOrderContract: whatever order the middleware's stages are
+// installed in, the chain comes out in iopath's canonical order, with
+// interceptors after trace in the order they were registered.
+func TestStageOrderContract(t *testing.T) {
+	drt, err := region.OpenDRT("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drt.Close()
+	pass := iopath.StageFunc(func(req *iopath.Request, next iopath.Handler) error { return next(req) })
+	type install struct {
+		name        string
+		interceptor string // the interceptor it registers, if any
+		run         func(*testing.T, *Middleware)
+	}
+	installs := []install{
+		{"EnableTelemetry", StageMeter, func(t *testing.T, mw *Middleware) {
+			mw.EnableTelemetry(telemetry.NewRegistry())
+		}},
+		{"EnableResilience", "", func(t *testing.T, mw *Middleware) {
+			if err := mw.EnableResilience(ResilienceOptions{Injector: flakyInjector(t, mw.Cluster)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"EnableAdaptive", "", func(t *testing.T, mw *Middleware) {
+			if err := mw.EnableAdaptive(AdaptiveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"SetRedirector", "", func(t *testing.T, mw *Middleware) {
+			mw.SetRedirector(reorder.NewRedirector(drt, 0))
+		}},
+		{"Intercept", "count", func(t *testing.T, mw *Middleware) {
+			if err := mw.Intercept("count", pass); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	perms := permutations(len(installs))
+	if len(perms) != 120 {
+		t.Fatalf("%d install orders, want 120", len(perms))
+	}
+	for _, perm := range perms {
+		mw := New(testCluster(t))
+		want := []string{iopath.StageTrace}
+		var order []string
+		for _, i := range perm {
+			installs[i].run(t, mw)
+			order = append(order, installs[i].name)
+			if ic := installs[i].interceptor; ic != "" {
+				want = append(want, ic)
+			}
+		}
+		want = append(want, iopath.StageRedirect, iopath.StageAdaptive,
+			iopath.StageResilience, iopath.StageStripe, iopath.StageServer)
+		if got := mw.pipe.Names(); !reflect.DeepEqual(got, want) {
+			t.Errorf("install order %v: chain %v, want %v", order, got, want)
+		}
+	}
+
+	// Batching lands between stripe and server whether resilience comes
+	// before or after it.
+	for _, batchFirst := range []bool{true, false} {
+		mw := New(testCluster(t))
+		enable := func() {
+			if err := mw.EnableBatching(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if batchFirst {
+			enable()
+		}
+		if err := mw.EnableResilience(ResilienceOptions{Injector: flakyInjector(t, mw.Cluster)}); err != nil {
+			t.Fatal(err)
+		}
+		if !batchFirst {
+			enable()
+		}
+		want := []string{iopath.StageTrace, iopath.StageResilience, iopath.StageStripe,
+			iopath.StageBatch, iopath.StageServer}
+		if got := mw.pipe.Names(); !reflect.DeepEqual(got, want) {
+			t.Errorf("batching first=%v: chain %v, want %v", batchFirst, got, want)
+		}
+	}
+
+	// Interceptors never take a built-in name or an existing one.
+	mw := New(testCluster(t))
+	for _, name := range []string{iopath.StageTrace, iopath.StageRedirect, iopath.StageAdaptive,
+		iopath.StageResilience, iopath.StageStripe, iopath.StageBatch, iopath.StageServer} {
+		if err := mw.Intercept(name, pass); err == nil {
+			t.Errorf("Intercept(%q) accepted a built-in stage name", name)
+		}
+	}
+	if err := mw.Intercept("count", pass); err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.Intercept("count", pass); err == nil {
+		t.Error("Intercept accepted a duplicate interceptor name")
 	}
 }

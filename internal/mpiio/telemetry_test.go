@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"mhafs/internal/fault"
 	"mhafs/internal/iopath"
 	"mhafs/internal/layout"
 	"mhafs/internal/reorder"
@@ -146,6 +147,50 @@ func TestEnableTelemetryEndToEnd(t *testing.T) {
 	}
 	if got := reg.Counter(reorder.MetricDRTLookups).Value(); got != 2 {
 		t.Errorf("disabled telemetry still counted lookups: %v", got)
+	}
+}
+
+// TestEnableTelemetrySwitchesRegistry: re-enabling telemetry moves every
+// emitter to the new registry, the application meter included.
+func TestEnableTelemetrySwitchesRegistry(t *testing.T) {
+	c := testCluster(t)
+	mw := New(c)
+	reg1, reg2 := telemetry.NewRegistry(), telemetry.NewRegistry()
+	mw.EnableTelemetry(reg1)
+	mw.EnableTelemetry(reg2)
+	h, _ := mw.Open("f", 0)
+	if _, err := h.WriteAtSync(make([]byte, 32*units.KB), 0); err != nil {
+		t.Fatal(err)
+	}
+	writes := telemetry.L("op", "write")
+	if got := reg1.Counter(iopath.MetricRequests, writes).Value(); got != 0 {
+		t.Errorf("old registry counted %v writes, want 0", got)
+	}
+	if got := reg2.Counter(iopath.MetricRequests, writes).Value(); got != 1 {
+		t.Errorf("new registry counted %v writes, want 1", got)
+	}
+}
+
+// TestDisabledTelemetryStopsFaultWindows: EnableTelemetry(nil) also
+// detaches the fault injector, whose window events keep firing.
+func TestDisabledTelemetryStopsFaultWindows(t *testing.T) {
+	c := testCluster(t)
+	mw := New(c)
+	if err := mw.EnableResilience(ResilienceOptions{Injector: flakyInjector(t, c)}); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	mw.EnableTelemetry(reg)
+	mw.EnableTelemetry(nil)
+	h, _ := mw.Open("f", 0)
+	data := make([]byte, 64*units.KB)
+	for i := 0; i < 400; i++ {
+		if _, err := h.WriteAtSync(data, int64(i)*int64(len(data))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Counter(fault.MetricWindows, telemetry.L("kind", "transient")).Value(); got != 0 {
+		t.Errorf("disabled telemetry counted %v transient fault windows, want 0", got)
 	}
 }
 
